@@ -1,6 +1,6 @@
 // Microbenchmarks for the ordered-index substrate: the epoch-protected
-// copy-on-write B+ tree behind KeyIndex versus the standard library's
-// red-black tree, for the operations the database performs
+// copy-on-write B+ tree behind ObjectStore::Scan versus the standard
+// library's red-black tree, for the operations the database performs
 // (insert-on-create, streaming range scans, point probes) — plus a
 // concurrent cell where readers scan latch-free while a writer splits
 // leaves under them, the case the COW design exists for.

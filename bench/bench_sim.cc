@@ -117,6 +117,11 @@ int main(int argc, char** argv) {
         opt.protocol = protocol;
         opt.seed = s;
         opt.currency_reader = s % 2 == 0;
+        // Every run is on the sharded visibility core and checked by the
+        // watermark-vector oracle (register/resolve/drain/snapshot
+        // closure, see explorer.h). Shard count rotates so
+        // class-interleaving bugs can't hide behind one K.
+        opt.vc_shards = 1ull << (s % 4);  // 1, 2, 4, 8
         switch (s % 3) {
           case 0: opt.deadlock_policy = DeadlockPolicy::kWaitDie; break;
           case 1: opt.deadlock_policy = DeadlockPolicy::kDetect; break;
@@ -131,35 +136,6 @@ int main(int argc, char** argv) {
         stats.Absorb(ExploreOnce(opt));
       }
       stats.Print(std::string(ProtocolKindName(protocol)));
-      failed |= !stats.failures.empty();
-    }
-
-    // Second local pass on the sharded visibility core: same protocol
-    // and fault rotation, but Begin snapshots are per-shard watermark
-    // vectors and every run is checked by the watermark-vector oracle
-    // (register/resolve/drain/snapshot closure, see explorer.h). Shard
-    // count rotates so class-interleaving bugs can't hide behind one K.
-    for (ProtocolKind protocol : protocols) {
-      SweepStats stats;
-      for (uint64_t s = start_seed; s < start_seed + seeds; ++s) {
-        ExploreOptions opt;
-        opt.protocol = protocol;
-        opt.seed = s;
-        opt.currency_reader = s % 2 == 0;
-        opt.sharded_visibility = true;
-        opt.vc_shards = 1ull << (s % 4);  // 1, 2, 4, 8
-        switch (s % 3) {
-          case 0: opt.deadlock_policy = DeadlockPolicy::kWaitDie; break;
-          case 1: opt.deadlock_policy = DeadlockPolicy::kDetect; break;
-          default: opt.deadlock_policy = DeadlockPolicy::kTimeout; break;
-        }
-        if (crash_every != 0 && s % crash_every == 0) {
-          opt.faults.crash_at_wal_append = static_cast<int64_t>(s % 7);
-        }
-        opt.enable_wal = s % 2 == 1;
-        stats.Absorb(ExploreOnce(opt));
-      }
-      stats.Print("sharded-" + std::string(ProtocolKindName(protocol)));
       failed |= !stats.failures.empty();
     }
   }

@@ -1,19 +1,16 @@
 // VC core microbenchmark: Register/Complete/Discard throughput and
-// latency against thread count, across the three VisibilitySource
-// cores — locked (mutex + std::map VCQueue), the lock-free completion
-// ring, and the sharded per-class watermark core.
+// latency against thread count, for the two VisibilitySource cores —
+// locked (mutex + std::map VCQueue, the Figure-1 reference and the
+// kSiteTagged core) and the sharded per-class watermark core every
+// kDense VersionControl runs on.
 //
-// Claims measured:
-//   * the ring core scales with writers where the single mutex
-//     flatlines — Register is one fetch_add, Complete/Discard are one
-//     release store plus a CAS drain, no thread takes mu_ on the hot
-//     path;
-//   * the sharded core holds that throughput under oversubscription
-//     (threads >> cores): a preempted resolver parks only its own
-//     residue class's cursor (1/K of registrations buffer behind it,
-//     with K*4096 total slack) instead of the whole ring, so the
-//     16-thread run stays near the single-thread line where the ring
-//     visibly sags.
+// Claim measured: the sharded core scales with writers where the single
+// mutex collapses. Register is one fetch_add, Complete/Discard are one
+// release store plus a CAS drain of the resolver's own residue class,
+// and no thread takes mu_ on the hot path. Under oversubscription
+// (threads >> cores) a preempted resolver parks only its own class's
+// cursor (1/K of registrations buffer behind it, with K*4096 total
+// slack), so the 16-thread run stays near the single-thread line.
 //
 // Each worker loops: tn = Register(id); then Complete(tn) (7/8 of the
 // time) or Discard(tn) (1/8 — aborts exercise the drain's
@@ -22,16 +19,23 @@
 // (Register..resolve) into a per-worker log-scale histogram; the table
 // reports the merged p50/p99.
 //
-// Writes BENCH_vc.json via the shared report machinery.
+// Writes BENCH_vc.json: {"host": {nproc, compiler, build_type, git_sha},
+// "rows": [...]}.
 //
-// `--smoke` runs a reduced pass (locked @ 1 thread as the baseline,
-// ring @ 8 and sharded @ 8) and exits nonzero if either multi-thread
-// core fails to beat the single-thread locked baseline — the CI
-// regression tripwire for a re-grown serialization point.
+// `--smoke` compares like with like: locked and sharded at 8 threads,
+// three interleaved rounds each, and exits nonzero if the sharded
+// median falls below the locked median — the CI regression tripwire for
+// a re-grown serialization point on the sharded hot path.
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <iostream>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -40,12 +44,26 @@
 #include "common/clock.h"
 #include "common/histogram.h"
 #include "common/random.h"
-#include "vc/version_control.h"
+#include "vc/locked_core.h"
+#include "vc/sharded_core.h"
 #include "workload/report.h"
 
 namespace {
 
 using namespace mvcc;
+
+enum class Core { kLocked, kSharded };
+
+const char* CoreName(Core core) {
+  return core == Core::kLocked ? "locked" : "sharded";
+}
+
+std::unique_ptr<VisibilitySource> MakeCore(Core core) {
+  if (core == Core::kLocked) {
+    return std::make_unique<LockedVisibility>(NumberingMode::kDense);
+  }
+  return std::make_unique<ShardedVisibility>();
+}
 
 struct VcBenchResult {
   double ops_per_sec = 0;
@@ -53,24 +71,10 @@ struct VcBenchResult {
   uint64_t discards = 0;
   int64_t p50_ns = 0;
   int64_t p99_ns = 0;
-  TxnNumber final_vtnc = 0;
 };
 
-const char* CoreName(VcCoreKind kind) {
-  switch (kind) {
-    case VcCoreKind::kLocked:
-      return "locked";
-    case VcCoreKind::kRing:
-      return "ring";
-    case VcCoreKind::kSharded:
-      return "sharded";
-    default:
-      return "auto";
-  }
-}
-
-VcBenchResult RunConfig(VcCoreKind kind, int threads, int64_t run_ns) {
-  VersionControl vc(NumberingMode::kDense, kind);
+VcBenchResult RunConfig(Core core, int threads, int64_t run_ns) {
+  std::unique_ptr<VisibilitySource> vc = MakeCore(core);
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> total_ops{0};
@@ -92,12 +96,12 @@ VcBenchResult RunConfig(VcCoreKind kind, int threads, int64_t run_ns) {
         // dominate the ~20ns fast path being measured.
         const bool timed = (ops & 63) == 0;
         const int64_t op_start = timed ? NowNanos() : 0;
-        const TxnNumber tn = vc.Register(/*txn=*/TxnId(t) + 1);
+        const TxnNumber tn = vc->Register(/*txn=*/TxnId(t) + 1, 0);
         if ((rng.Next() & 7) == 0) {
-          vc.Discard(tn);
+          vc->Discard(tn);
           ++discards;
         } else {
-          vc.Complete(tn);
+          vc->Complete(tn);
         }
         if (timed) hist.Add(NowNanos() - op_start);
         ++ops;
@@ -120,32 +124,72 @@ VcBenchResult RunConfig(VcCoreKind kind, int threads, int64_t run_ns) {
   out.ops_per_sec = out.ops / seconds;
   out.p50_ns = merged.Percentile(0.50);
   out.p99_ns = merged.Percentile(0.99);
-  out.final_vtnc = vc.vtnc();
   return out;
 }
 
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
 int RunSmoke() {
-  // CI tripwire, not a measurement: each multi-thread core must at
-  // least match one thread hammering the global mutex. A failure means
-  // the lock-free path has re-grown a serialization point.
+  // CI tripwire, not a measurement: at 8 threads the sharded core must
+  // at least match the locked core under the same contention. Rounds
+  // interleave the two cores so a noisy neighbour hits both alike.
   constexpr int64_t kSmokeNanos = 100 * 1000 * 1000;
-  const VcBenchResult locked1 = RunConfig(VcCoreKind::kLocked, 1, kSmokeNanos);
-  std::cout << "smoke: locked@1 "
-            << static_cast<uint64_t>(locked1.ops_per_sec) << " ops/s\n";
-  int rc = 0;
-  for (const VcCoreKind kind : {VcCoreKind::kRing, VcCoreKind::kSharded}) {
-    const VcBenchResult r = RunConfig(kind, 8, kSmokeNanos);
-    std::cout << "smoke: " << CoreName(kind) << "@8 "
-              << static_cast<uint64_t>(r.ops_per_sec) << " ops/s\n";
-    if (r.ops_per_sec < locked1.ops_per_sec) {
-      std::cout << "FAIL: " << CoreName(kind)
-                << " core at 8 threads is slower than the "
-                   "single-thread locked baseline\n";
-      rc = 1;
-    }
+  constexpr int kThreads = 8;
+  std::vector<double> locked, sharded;
+  for (int round = 0; round < 3; ++round) {
+    locked.push_back(RunConfig(Core::kLocked, kThreads, kSmokeNanos)
+                         .ops_per_sec);
+    sharded.push_back(RunConfig(Core::kSharded, kThreads, kSmokeNanos)
+                          .ops_per_sec);
   }
-  if (rc == 0) std::cout << "OK\n";
-  return rc;
+  const double locked_med = Median(locked);
+  const double sharded_med = Median(sharded);
+  std::cout << "smoke: locked@8 median " << static_cast<uint64_t>(locked_med)
+            << " ops/s, sharded@8 median "
+            << static_cast<uint64_t>(sharded_med) << " ops/s\n";
+  if (sharded_med < locked_med) {
+    std::cout << "FAIL: sharded core at 8 threads is slower than the "
+                 "locked core at 8 threads\n";
+    return 1;
+  }
+  std::cout << "OK\n";
+  return 0;
+}
+
+std::string RunCommand(const char* cmd) {
+  std::string out;
+  std::FILE* p = ::popen(cmd, "r");
+  if (p == nullptr) return out;
+  char buf[256];
+  while (std::fgets(buf, sizeof(buf), p) != nullptr) out += buf;
+  ::pclose(p);
+  while (!out.empty() && (out.back() == '\n' || out.back() == ' ')) {
+    out.pop_back();
+  }
+  return out;
+}
+
+// The host the figures came from: core count, compiler, build type and
+// the source revision (git_dirty: tracked files differ from it).
+std::string HostJson() {
+#ifdef __clang__
+  const std::string compiler = "clang " __VERSION__;
+#else
+  const std::string compiler = "gcc " __VERSION__;
+#endif
+  std::string sha = RunCommand("git rev-parse HEAD 2>/dev/null");
+  const bool dirty =
+      !sha.empty() &&
+      !RunCommand("git status --porcelain --untracked-files=no 2>/dev/null")
+           .empty();
+  if (sha.empty()) sha = "unknown";
+  return "{\"nproc\": " + std::to_string(::sysconf(_SC_NPROCESSORS_ONLN)) +
+         ", \"compiler\": \"" + compiler + "\", \"build_type\": \"" +
+         MVCC_BUILD_TYPE + "\", \"git_sha\": \"" + sha +
+         "\", \"git_dirty\": " + (dirty ? "true" : "false") + "}";
 }
 
 }  // namespace
@@ -157,19 +201,18 @@ int main(int argc, char** argv) {
 
   constexpr int64_t kRunNanos = 200 * 1000 * 1000;  // 200ms per config
   std::cout << "VC core: Register/Complete/Discard throughput, locked\n"
-               "(mutex + map) vs lock-free completion ring vs sharded\n"
-               "per-class watermarks, 200ms per config, 1/8 of\n"
-               "registrations discarded, 1/64 of ops latency-sampled.\n\n";
+               "(mutex + map) vs sharded per-class watermarks, 200ms per\n"
+               "config, 1/8 of registrations discarded, 1/64 of ops\n"
+               "latency-sampled.\n\n";
 
   Table table({"core", "threads", "ops/s", "speedup_vs_1T", "p50_ns",
                "p99_ns", "discards"});
-  for (const VcCoreKind kind :
-       {VcCoreKind::kLocked, VcCoreKind::kRing, VcCoreKind::kSharded}) {
+  for (const Core core : {Core::kLocked, Core::kSharded}) {
     double base = 0;
     for (int threads : {1, 2, 4, 8, 16}) {
-      const VcBenchResult r = RunConfig(kind, threads, kRunNanos);
+      const VcBenchResult r = RunConfig(core, threads, kRunNanos);
       if (threads == 1) base = r.ops_per_sec;
-      table.AddRow({std::string(CoreName(kind)),
+      table.AddRow({std::string(CoreName(core)),
                     Table::Num(uint64_t(threads)),
                     Table::Num(r.ops_per_sec, 0),
                     Table::Num(base > 0 ? r.ops_per_sec / base : 0.0, 2),
@@ -181,22 +224,20 @@ int main(int argc, char** argv) {
 
   table.Print(std::cout);
   const std::string json = "BENCH_vc.json";
-  if (table.WriteJsonFile(json)) {
-    std::cout << "\nwrote " << json << "\n";
-  } else {
-    std::cout << "\nfailed to write " << json << "\n";
-  }
+  std::ofstream out(json);
+  out << "{\"host\": " << HostJson() << ",\n\"rows\": ";
+  table.PrintJson(out);
+  out << "}\n";
+  std::cout << (out ? "\nwrote " : "\nfailed to write ") << json << "\n";
   std::cout << "\nexpected shape: the locked core's aggregate ops/s\n"
                "collapses as threads are added — every call funnels through\n"
                "one mutex and the waiters convoy (futex round trips). The\n"
-               "ring core removes the lock but oversubscription still\n"
-               "hurts it: a preempted resolver parks the ONE drain cursor\n"
-               "and the whole 4096-slot ring backs up behind it. The\n"
-               "sharded core decentralizes the cursor per residue class\n"
-               "(K rings, K*4096 slack), and a registrar that does catch\n"
-               "a full class yields the CPU toward the parked resolver\n"
-               "for a bounded burst before sleeping — so the\n"
-               "oversubscribed line stays near 1x of its single-thread\n"
-               "run instead of convoying on futex wakes.\n";
+               "sharded core takes no lock on the hot path and gives each\n"
+               "residue class its own drain cursor (K rings, K*4096\n"
+               "slack); a registrar that does catch a full class yields\n"
+               "the CPU toward the parked resolver for a bounded burst\n"
+               "before sleeping, so the oversubscribed line stays near\n"
+               "its single-thread run instead of convoying on futex\n"
+               "wakes.\n";
   return 0;
 }

@@ -68,7 +68,7 @@ Result<TxnNumber> Site::Prepare(TxnId txn, uint32_t tiebreak) {
   // local serial position is fixed — register now (Figure 4 discipline).
   // kSiteTagged numbering runs VersionControl's locked map core: the
   // Promote() below moves this entry to a non-dense global number during
-  // 2PC agreement, which the dense completion ring cannot index.
+  // 2PC agreement, which the dense sharded core cannot index.
   return vc_.Register(txn, tiebreak);
 }
 

@@ -66,16 +66,6 @@ VersionNumber GarbageCollector::Watermark() {
   return watermark;
 }
 
-VersionNumber GarbageCollector::WatermarkCached() const {
-  VersionNumber watermark = vc_->CachedFloor();
-  if (readers_ != nullptr) {
-    if (auto min_reader = readers_->MinActive()) {
-      watermark = std::min(watermark, *min_reader);
-    }
-  }
-  return watermark;
-}
-
 void GarbageCollector::Loop(std::chrono::milliseconds interval) {
   std::unique_lock<std::mutex> lock(mu_);
   while (!stop_) {

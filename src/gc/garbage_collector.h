@@ -45,14 +45,9 @@ class GarbageCollector {
   size_t RunOnce();
 
   // Current safe pruning watermark, from ONE exact visibility-floor fold
-  // (RefreshFloor): call once per pass/batch, never per item. Counted in
-  // floor_refreshes().
+  // (RefreshFloor): call once per pass/batch (a pass, or one commit's
+  // inline sweep), never per item. Counted in floor_refreshes().
   VersionNumber Watermark();
-
-  // Watermark from the cached floor — a single load, no fold. May lag
-  // the exact value (prunes less), never leads it (never prunes more):
-  // always safe. The per-commit inline-GC path uses this.
-  VersionNumber WatermarkCached() const;
 
   uint64_t total_reclaimed() const {
     return total_reclaimed_.load(std::memory_order_relaxed);
@@ -60,7 +55,8 @@ class GarbageCollector {
   uint64_t passes() const { return passes_.load(std::memory_order_relaxed); }
 
   // Exact visibility-floor folds this collector performed — one per
-  // Watermark() call, i.e. one per pass, not one per pruned chain.
+  // Watermark() call, i.e. one per pass or inline-swept commit, not one
+  // per pruned chain.
   uint64_t floor_refreshes() const {
     return floor_refreshes_.load(std::memory_order_relaxed);
   }

@@ -95,19 +95,6 @@ int main(int argc, char** argv) {
       db_opts.protocol = ParseProtocol(next());
     } else if (arg == "--preload") {
       db_opts.preload_keys = std::stoull(next());
-    } else if (arg == "--vc-core") {
-      const std::string core = next();
-      if (core == "ring") {
-        db_opts.vc_core = mvcc::VcCoreKind::kRing;
-      } else if (core == "locked") {
-        db_opts.vc_core = mvcc::VcCoreKind::kLocked;
-      } else if (core == "sharded") {
-        db_opts.vc_core = mvcc::VcCoreKind::kSharded;
-      } else {
-        std::cerr << "unknown --vc-core " << core
-                  << " (want ring|locked|sharded)\n";
-        return 2;
-      }
     } else if (arg == "--vc-shards") {
       db_opts.vc_shards = std::stoull(next());
     } else if (arg == "--replicas") {
@@ -142,8 +129,7 @@ int main(int argc, char** argv) {
       std::cout
           << "mvccd [--host H] [--port P] [--workers N] [--protocol "
              "vc2pl|vcto|vcocc|vcadaptive]\n"
-             "      [--preload KEYS] [--vc-core ring|locked|sharded] "
-             "[--vc-shards K]\n"
+             "      [--preload KEYS] [--vc-shards K]\n"
              "      [--replicas N] [--staleness BUDGET]\n"
              "      [--failover NODES] [--peers P0,P1,...] [--ack-quorum Q]\n"
              "      [--overload-lag LAG] [--max-inflight N] "

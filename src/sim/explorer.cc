@@ -22,6 +22,7 @@
 #include "repl/read_router.h"
 #include "repl/replica.h"
 #include "repl/replication_stream.h"
+#include "vc/sharded_core.h"
 
 namespace mvcc {
 namespace sim {
@@ -324,10 +325,7 @@ SimReport ExploreOnce(const ExploreOptions& options) {
   // collector only exists when enable_gc is on (no background thread is
   // started — the sim owns the cadence).
   dopt.enable_gc = options.gc_task;
-  if (options.sharded_visibility) {
-    dopt.vc_core = VcCoreKind::kSharded;
-    dopt.vc_shards = options.vc_shards;
-  }
+  dopt.vc_shards = options.vc_shards;
   // Reclamation events feed the schedule hash, and the epoch manager is
   // process-global: leftovers retired by a previous run (or test) would
   // shift this run's retire-threshold advances and expired counts —
@@ -346,8 +344,12 @@ SimReport ExploreOnce(const ExploreOptions& options) {
   sopt.seed = options.seed;
   sopt.max_steps = options.max_steps;
   sopt.faults = options.faults;
+  // Gate on the core actually in use: the literal-Figure-1 knob above
+  // swaps the run onto the locked core, which emits no sharded events.
+  const bool sharded = dynamic_cast<const ShardedVisibility*>(
+                           db.version_control().source()) != nullptr;
   WatermarkVectorOracle wm_oracle;
-  if (options.sharded_visibility) {
+  if (sharded) {
     sopt.observe_listener = [&wm_oracle](const void* source,
                                          const char* what, uint64_t a,
                                          uint64_t b) {
@@ -584,7 +586,7 @@ SimReport ExploreOnce(const ExploreOptions& options) {
       sched.AddViolation("scan oracle: no scan observation recorded");
     }
   }
-  if (options.sharded_visibility) {
+  if (sharded) {
     wm_oracle.Report(&sched);
     if (options.reader_tasks > 0 && !wm_oracle.saw_snapshot()) {
       // The oracle is only meaningful if the sharded snapshot path
@@ -594,8 +596,8 @@ SimReport ExploreOnce(const ExploreOptions& options) {
     }
   }
   if (report.wal_crashed) {
-    // dopt carries vc_core/vc_shards, so the recovered database comes
-    // back up on the same (sharded) visibility core.
+    // dopt carries vc_shards, so the recovered database comes back up on
+    // the same sharded visibility core.
     CheckCrashRecovery(options, dopt, db.wal(), &sched);
   }
   return report;

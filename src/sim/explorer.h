@@ -68,15 +68,14 @@ struct ExploreOptions {
   // crossings.
   bool gc_task = false;
 
-  // Runs the database on the sharded visibility core (decentralized
-  // per-shard commit watermarks) and installs the watermark-vector
-  // oracle over its SimObserve stream: each shard must consume its
-  // residue class in order and only past resolved numbers, and every
-  // snapshot's folded floor must stay below tnc, advance monotonically,
-  // and be closed under completion — i.e. the vector is equivalent to a
-  // legal scalar vtnc history (docs/correctness.md).
-  bool sharded_visibility = false;
-  // Shard count when sharded_visibility is set (0 = core default).
+  // Shard count of the sharded visibility core (0 = core default). Every
+  // run on that core installs the watermark-vector oracle over its
+  // SimObserve stream: each shard must consume its residue class in
+  // order and only past resolved numbers, and every snapshot's folded
+  // floor must stay below tnc, advance monotonically, and be closed
+  // under completion — i.e. the vector is equivalent to a legal scalar
+  // vtnc history (docs/correctness.md). Runs that literal_figure1_discard
+  // moved onto the locked core skip the oracle.
   size_t vc_shards = 0;
 
   DeadlockPolicy deadlock_policy = DeadlockPolicy::kWaitDie;

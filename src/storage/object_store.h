@@ -13,7 +13,7 @@
 #include "common/ids.h"
 #include "common/latch.h"
 #include "common/result.h"
-#include "storage/key_index.h"
+#include "storage/btree.h"
 #include "storage/version_arena.h"
 #include "storage/version_chain.h"
 
@@ -164,7 +164,13 @@ class ObjectStore {
   // shard: with more threads than shards the per-shard cells themselves
   // ping-ponged between writers hammering the same hot shard).
   StripedCounter versions_;
-  KeyIndex index_;
+  // Ordered index over the same keys, each leaf entry carrying the
+  // key's chain, so a snapshot scan is index walk -> chain read with no
+  // per-key hash re-probe. Keys are only ever added, so it needs no
+  // tombstones. A key created after a scan's snapshot has only versions
+  // above sn, so the chain read reports NotFound and the scan skips it:
+  // snapshot scans are phantom-free with no locking (docs/correctness.md).
+  BPlusTree index_;
 };
 
 }  // namespace mvcc

@@ -76,7 +76,7 @@ class CommitPipeline {
 
   // `wal` may be null (logging disabled): step 2 becomes a no-op. The
   // pipeline only needs the visibility seam (Complete/Discard), so any
-  // core — locked, ring, sharded — plugs in behind the pointer.
+  // core — locked or sharded — plugs in behind the pointer.
   CommitPipeline(ObjectStore* store, VisibilitySource* vc,
                  WriteAheadLog* wal, Options options);
   CommitPipeline(ObjectStore* store, VisibilitySource* vc,

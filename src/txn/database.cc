@@ -90,7 +90,7 @@ Database::Database(DatabaseOptions options,
                    std::unique_ptr<WriteAheadLog> wal)
     : options_(std::move(options)),
       store_(options_.store_shards),
-      vc_(NumberingMode::kDense, options_.vc_core, options_.vc_shards) {
+      vc_(NumberingMode::kDense, options_.vc_shards) {
   if (options_.preload_keys > 0) {
     store_.Preload(options_.preload_keys, options_.initial_value);
   }
@@ -386,10 +386,10 @@ Status Database::DoCommit(TxnState* state) {
     counters_.rw_commits.fetch_add(1, std::memory_order_relaxed);
     if (options_.inline_gc && gc_ != nullptr) {
       // Amortized collection: sweep only the chains this commit touched.
-      // The cached floor (one load, no fold) is enough here — a lagging
-      // watermark prunes less, never more, and the background/explicit
-      // passes refresh it.
-      const VersionNumber watermark = gc_->WatermarkCached();
+      // One exact floor fold per commit: the cached floor only moves when
+      // someone refreshes it, and inline pruning may be the only
+      // collector running.
+      const VersionNumber watermark = gc_->Watermark();
       for (ObjectKey key : state->write_order) {
         VersionChain* chain = store_.Find(key);
         if (chain != nullptr) chain->Prune(watermark);

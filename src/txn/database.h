@@ -80,13 +80,9 @@ struct DatabaseOptions {
   // Sharding of the object store and protocol tables.
   size_t store_shards = 64;
 
-  // Which visibility core backs version control. kAuto keeps the
-  // historical default (the scalar lock-free ring); kSharded switches to
-  // per-shard commit watermarks — read-only Begin becomes a vector of
-  // watermark loads with no CAS and no global counter round-trip.
-  VcCoreKind vc_core = VcCoreKind::kAuto;
-  // Shard count for kSharded (0 = the core's default); clamped to a
-  // power of two in [1, VisibilitySnapshot::kMaxShards].
+  // Shard count of the visibility core's per-shard commit watermarks
+  // (0 = the core's default); clamped to a power of two in
+  // [1, VisibilitySnapshot::kMaxShards].
   size_t vc_shards = 0;
 
   // Admission-control overload signal for the service tier: when > 0

@@ -28,8 +28,8 @@ enum class NumberingMode {
 
 // The mutex + std::map core (VcQueue): the literal Figure-1 shape.
 // Retained for kSiteTagged numbering — Promote() during distributed 2PC
-// number agreement moves queue entries to non-dense numbers a ring
-// cannot index — and for the literal-Figure-1 test knob, whose
+// number agreement moves queue entries to non-dense numbers the sharded
+// core cannot index — and for the literal-Figure-1 test knob, whose
 // observable (QueueSize of a stalled suffix) is defined on the map.
 class LockedVisibility final : public VisibilitySource {
  public:

@@ -220,8 +220,10 @@ bool ShardedVisibility::TryJumpGapShard(size_t s, TxnNumber n) {
 
 void ShardedVisibility::WakeWaitersIfAny() {
   if (waiters_.load(std::memory_order_seq_cst) == 0) return;
-  // Empty critical section: serializes with a waiter registered in
-  // waiters_ but not yet asleep (see RingVisibility::WakeWaitersIfAny).
+  // The empty critical section serializes with a waiter that has
+  // registered in waiters_ but not yet slept: by the time we hold mu_,
+  // it either re-checked its predicate (seeing our seq_cst update) or is
+  // inside cv_.wait and will receive the notify.
   { std::lock_guard<std::mutex> guard(mu_); }
   cv_.notify_all();
 }
@@ -349,9 +351,9 @@ size_t ShardedVisibility::QueueSizeApprox() const {
   // pending = (assigned - gap_created) - (consumed - gap_consumed).
   // Load gap_consumed_ before the cursors (a jump bumps the cursor
   // first, so a consumed count we see is never missing its cursor
-  // move), and the cursors before counter_ (consumed <= assigned, the
-  // same argument as the scalar ring). Remaining races only under- or
-  // over-shoot transiently; exact at quiesce.
+  // move), and the cursors before counter_ (a number is consumed only
+  // after it was assigned, so consumed <= assigned). Remaining races
+  // only under- or over-shoot transiently; exact at quiesce.
   const uint64_t gap_consumed =
       gap_consumed_.load(std::memory_order_acquire);
   uint64_t consumed = 0;

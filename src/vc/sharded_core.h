@@ -36,14 +36,14 @@ namespace mvcc {
 // vectors preserve readers-never-block") for the closure argument; the
 // sim explorer's watermark-vector oracle re-checks it per schedule.
 //
-// Differences from the scalar ring, both observably equivalent:
+// Differences from Figure 1's scalar vtnc, both observably equivalent:
 //  * the floor may name a DISCARDED (or never-assigned) number — a
 //    discarded tn installs no versions, so reading at it reads the same
 //    versions as reading at the largest completed number below it;
 //  * total buffering is shard_count * kShardRingSize unresolved
-//    transactions (vs kRingSize), so a preempted resolver stalls only
-//    1/K of registrations instead of the whole ring — the reason the
-//    16-thread oversubscribed bench recovers to ~1x.
+//    transactions, and a preempted resolver stalls only 1/K of
+//    registrations — the reason the oversubscribed bench_vc runs stay
+//    near their single-thread line.
 class ShardedVisibility final : public VisibilitySource {
  public:
   static constexpr size_t kShardRingSize = 4096;
@@ -80,8 +80,8 @@ class ShardedVisibility final : public VisibilitySource {
   }
 
  private:
-  // Slot encoding identical to the scalar ring: (tn << 2) | state,
-  // 0 == free; the full tn disambiguates wrapped-around occupants.
+  // Slot encoding: (tn << 2) | state, 0 == free; the full tn
+  // disambiguates wrapped-around occupants.
   static constexpr uint64_t kSlotActive = 1;
   static constexpr uint64_t kSlotComplete = 2;
   static constexpr uint64_t kSlotDiscarded = 3;
@@ -154,8 +154,9 @@ class ShardedVisibility final : public VisibilitySource {
   std::atomic<uint64_t> gap_consumed_{0};  // member count jumped over
   uint64_t full_done_mask_ = 0;
 
-  // Dekker pairing with the resolvers' seq_cst cursor updates, as in
-  // the scalar ring.
+  // Slow sleepers currently inside a cv wait (StartAtLeast,
+  // WaitNoActiveAtOrBelow, full-ring backpressure); Dekker pairing with
+  // the resolvers' seq_cst cursor updates, so a wakeup is never missed.
   std::atomic<int> waiters_{0};
   mutable std::mutex mu_;
   std::condition_variable cv_;

@@ -1,60 +1,41 @@
 #include "vc/version_control.h"
 
 #include "common/check.h"
-#include "vc/ring_core.h"
 #include "vc/sharded_core.h"
 
 namespace mvcc {
 
 namespace {
 
-VcCoreKind ResolveKind(NumberingMode mode, VcCoreKind kind) {
-  // kSiteTagged ALWAYS gets the locked core: Promote() moves entries to
-  // non-dense numbers no ring can index. Pinned by a regression test.
-  if (mode == NumberingMode::kSiteTagged) return VcCoreKind::kLocked;
-  if (kind == VcCoreKind::kAuto) return VcCoreKind::kRing;
-  return kind;
-}
-
 std::unique_ptr<VisibilitySource> MakeCore(NumberingMode mode,
-                                           VcCoreKind kind,
                                            size_t vc_shards) {
-  switch (kind) {
-    case VcCoreKind::kLocked:
-      return std::unique_ptr<VisibilitySource>(new LockedVisibility(mode));
-    case VcCoreKind::kRing:
-      return std::unique_ptr<VisibilitySource>(new RingVisibility());
-    case VcCoreKind::kSharded:
-      return std::unique_ptr<VisibilitySource>(new ShardedVisibility(
-          vc_shards == 0 ? ShardedVisibility::kDefaultShards : vc_shards));
-    case VcCoreKind::kAuto:
-      break;
+  // kSiteTagged ALWAYS gets the locked core: Promote() moves entries to
+  // non-dense numbers no dense core can index. Pinned by a regression test.
+  if (mode == NumberingMode::kSiteTagged) {
+    return std::unique_ptr<VisibilitySource>(new LockedVisibility(mode));
   }
-  MVCC_CHECK(false && "unresolved core kind");
-  return nullptr;
+  return std::unique_ptr<VisibilitySource>(new ShardedVisibility(
+      vc_shards == 0 ? ShardedVisibility::kDefaultShards : vc_shards));
 }
 
 }  // namespace
 
-VersionControl::VersionControl(NumberingMode mode, VcCoreKind kind,
-                               size_t vc_shards)
-    : mode_(mode),
-      kind_(ResolveKind(mode, kind)),
-      core_(MakeCore(mode, kind_, vc_shards)) {}
+VersionControl::VersionControl(NumberingMode mode, size_t vc_shards)
+    : mode_(mode), core_(MakeCore(mode, vc_shards)) {}
 
 void VersionControl::SetLiteralFigure1DiscardForTest(bool literal) {
-  if (literal && kind_ != VcCoreKind::kLocked) {
+  auto* locked = dynamic_cast<LockedVisibility*>(core_.get());
+  if (literal && locked == nullptr) {
     // The stalled-suffix observable is defined on the map queue: swap in
     // the locked core. Only legal before any registration (the sticky
     // swap would otherwise lose in-flight queue state).
     MVCC_CHECK(core_->NextNumber() == 1 &&
                "literal Figure 1 mode must be set before any registration");
-    kind_ = VcCoreKind::kLocked;
-    core_ = MakeCore(mode_, kind_, 0);
+    locked = new LockedVisibility(mode_);
+    core_.reset(locked);
   }
-  if (kind_ != VcCoreKind::kLocked) return;  // clearing on a non-map core
-  static_cast<LockedVisibility*>(core_.get())
-      ->SetLiteralFigure1Discard(literal);
+  if (locked == nullptr) return;  // clearing on the sharded core
+  locked->SetLiteralFigure1Discard(literal);
 }
 
 }  // namespace mvcc

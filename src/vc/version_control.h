@@ -10,29 +10,6 @@
 
 namespace mvcc {
 
-// Which visibility core backs a VersionControl instance.
-//
-//  kAuto:    ring for kDense, locked for kSiteTagged (the historical
-//            defaults; every existing sim replay hash depends on them).
-//  kLocked:  the mutex + std::map core (VcQueue). Baseline for bench_vc
-//            and the only core that supports Promote / the literal
-//            Figure-1 knob.
-//  kRing:    the lock-free scalar completion ring.
-//  kSharded: per-shard commit watermarks (decentralized visibility);
-//            read-only Begin takes a vector snapshot with no CAS and no
-//            global counter round-trip.
-//
-// kSiteTagged numbering ALWAYS routes to the locked core regardless of
-// the requested kind: Promote() during distributed 2PC number agreement
-// moves queue entries to non-dense numbers no ring can index. A
-// regression test pins this routing.
-enum class VcCoreKind {
-  kAuto,
-  kLocked,
-  kRing,
-  kSharded,
-};
-
 // The paper's VersionControl module (Figure 1).
 //
 // Maintains:
@@ -55,11 +32,17 @@ enum class VcCoreKind {
 //   Discard()  = VCdiscard()  : called on abort after registration.
 //   Complete() = VCcomplete() : called after commit + database update.
 //
-// This class is a thin facade: three interchangeable cores implement the
-// VisibilitySource contract (LockedVisibility, RingVisibility,
-// ShardedVisibility — see their headers), selected by VcCoreKind at
-// construction. Consumers that hold a VersionControl& may also take the
-// seam directly via source().
+// This class is a thin facade over one of two cores implementing the
+// VisibilitySource contract, fixed by the numbering mode:
+//   kDense      ShardedVisibility: per-shard commit watermarks; read-only
+//               Begin takes a vector snapshot with no CAS and no global
+//               counter round-trip.
+//   kSiteTagged LockedVisibility: the mutex + std::map VCQueue of
+//               Figure 1. Promote() during distributed 2PC number
+//               agreement moves queue entries to non-dense numbers no
+//               dense core can index. A regression test pins this routing.
+// Consumers that hold a VersionControl& may also take the seam directly
+// via source().
 //
 // One deliberate deviation from the paper's pseudocode: Figure 1's
 // VCdiscard only removes the queue entry. If the discarded entry was the
@@ -68,20 +51,10 @@ enum class VcCoreKind {
 // Complete() on every core. A unit test pins this scenario.
 class VersionControl final : public VisibilitySource {
  public:
-  // Slots in the ring core; registrations more than kRingSize ahead of
-  // the drain cursor wait for slots to free (backpressure on an
-  // unbounded commit/abort backlog).
-  static constexpr size_t kRingSize = 4096;
-
-  // `vc_shards` only matters for kSharded (0 = the core's default).
+  // `vc_shards` is the kDense core's shard count (0 = the core's
+  // default); kSiteTagged ignores it.
   explicit VersionControl(NumberingMode mode = NumberingMode::kDense,
-                          VcCoreKind kind = VcCoreKind::kAuto,
                           size_t vc_shards = 0);
-  // Legacy signature: `force_locked_core` pins the mutex+map core even
-  // for kDense — the before/after baseline for bench_vc.
-  VersionControl(NumberingMode mode, bool force_locked_core)
-      : VersionControl(mode, force_locked_core ? VcCoreKind::kLocked
-                                               : VcCoreKind::kAuto) {}
   VersionControl(const VersionControl&) = delete;
   VersionControl& operator=(const VersionControl&) = delete;
 
@@ -167,17 +140,15 @@ class VersionControl final : public VisibilitySource {
   // tn that would be assigned (with tiebreak 0 in kSiteTagged mode).
   TxnNumber NextNumber() const override { return core_->NextNumber(); }
 
-  // Registered-but-not-yet-visible transactions. On the ring and sharded
-  // cores this may transiently overcount by in-flight registrations;
-  // exact at quiesce.
+  // Registered-but-not-yet-visible transactions. On the sharded core
+  // this may transiently overcount by in-flight registrations; exact at
+  // quiesce.
   size_t QueueSize() const override { return core_->QueueSize(); }
 
   const char* Name() const override { return core_->Name(); }
 
   NumberingMode mode() const { return mode_; }
-  VcCoreKind core_kind() const { return kind_; }
   const char* core_name() const { return core_->Name(); }
-  bool ring_core() const { return kind_ == VcCoreKind::kRing; }
 
   // ---- Testing ----
 
@@ -186,14 +157,15 @@ class VersionControl final : public VisibilitySource {
   // discarded head stalls vtnc forever). Exists so the deterministic
   // simulator can demonstrate that the head-draining deviation is
   // load-bearing; never set in production. Must first be set before any
-  // registration: it pins the instance to the locked core (sticky), since
-  // the stalled-suffix observable is defined on the map queue.
+  // registration: it swaps a kDense instance onto the locked core
+  // (sticky), since the stalled-suffix observable is defined on the map
+  // queue.
   void SetLiteralFigure1DiscardForTest(bool literal);
 
  private:
   const NumberingMode mode_;
-  VcCoreKind kind_;  // resolved (never kAuto); may flip to kLocked by the
-                     // literal-Figure-1 test knob before any registration
+  // Sharded for kDense, locked for kSiteTagged; the literal-Figure-1 test
+  // knob may swap a kDense instance onto the locked core.
   std::unique_ptr<VisibilitySource> core_;
 };
 

@@ -45,8 +45,8 @@ struct VisibilitySnapshot {
 // The seam between the visibility core and every consumer: the paper's
 // versionControl contract (VCstart / VCregister / VCcomplete /
 // VCdiscard, plus the Section 6 distributed extensions) expressed as an
-// interface so the locked map core, the lock-free completion ring, and
-// the sharded watermark core are interchangeable behind one pointer.
+// interface so the locked map core and the sharded watermark core are
+// interchangeable behind one pointer.
 //
 // Scalar consumers that only need a visibility floor — the GC horizon,
 // VisibilityLag/Health(), the replication horizon (replica rvtnc), the

@@ -13,6 +13,7 @@
 #include "common/random.h"
 #include "history/serializability.h"
 #include "txn/database.h"
+#include "vc/locked_core.h"
 #include "vc/version_control.h"
 #include "workload/generator.h"
 #include "workload/runner.h"
@@ -150,8 +151,8 @@ INSTANTIATE_TEST_SUITE_P(VcProtocols, ScanWorkloadSweep,
                                            ProtocolKind::kVcAdaptive));
 
 // ---------------------------------------------------------------------
-// Model check: VersionControl against a brute-force reference under
-// random single-threaded interleavings of register/complete/discard.
+// Model check: both visibility cores against a brute-force reference
+// under random single-threaded interleavings of register/complete/discard.
 // ---------------------------------------------------------------------
 
 class VcModel {
@@ -180,23 +181,31 @@ class VcModel {
     return best;
   }
 
+  // The sharded core's folded floor: everything below the smallest
+  // unresolved number has resolved, so the floor is that number minus
+  // one (tnc - 1 when nothing is active). It may name a discarded
+  // number, which Vtnc() never does.
+  TxnNumber Floor() const {
+    return (active_.empty() ? next_ : *active_.begin()) - 1;
+  }
+
  private:
   TxnNumber next_ = 1;
   std::set<TxnNumber> active_;
   std::set<TxnNumber> completed_;
 };
 
-class VcModelCheck : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(VcModelCheck, MatchesReferenceModel) {
-  Random rng(GetParam());
-  VersionControl vc;
+// Drives `vc` and the model through the same random steps; after each
+// step the core's Start() must equal `expected(model)`.
+template <typename Expected>
+void RunModelCheck(uint64_t seed, VisibilitySource& vc, Expected expected) {
+  Random rng(seed);
   VcModel model;
   std::vector<TxnNumber> open;
   for (int step = 0; step < 3000; ++step) {
     const double roll = rng.NextDouble();
     if (open.empty() || roll < 0.4) {
-      const TxnNumber tn = vc.Register(step + 1);
+      const TxnNumber tn = vc.Register(step + 1, 0);
       const TxnNumber expected = model.Register();
       ASSERT_EQ(tn, expected);
       open.push_back(tn);
@@ -212,8 +221,26 @@ TEST_P(VcModelCheck, MatchesReferenceModel) {
         model.Discard(tn);
       }
     }
-    ASSERT_EQ(vc.Start(), model.Vtnc()) << "step " << step;
+    ASSERT_EQ(vc.Start(), expected(model)) << "step " << step;
+    ASSERT_GE(vc.Start(), model.Vtnc()) << "step " << step;
     ASSERT_LT(vc.Start(), vc.NextNumber());
+  }
+}
+
+class VcModelCheck : public ::testing::TestWithParam<uint64_t> {};
+
+// The locked reference holds Figure 1's exact vtnc.
+TEST_P(VcModelCheck, LockedMatchesFigure1Vtnc) {
+  LockedVisibility vc(NumberingMode::kDense);
+  RunModelCheck(GetParam(), vc, [](const VcModel& m) { return m.Vtnc(); });
+}
+
+// The default (sharded) core holds the closure floor, at the default
+// shard count and at one small enough that classes interleave densely.
+TEST_P(VcModelCheck, ShardedMatchesClosureFloor) {
+  for (size_t shards : {size_t{0}, size_t{4}}) {
+    VersionControl vc(NumberingMode::kDense, shards);
+    RunModelCheck(GetParam(), vc, [](const VcModel& m) { return m.Floor(); });
   }
 }
 

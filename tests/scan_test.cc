@@ -2,7 +2,6 @@
 
 #include <thread>
 
-#include "storage/key_index.h"
 #include "txn/database.h"
 
 namespace mvcc {
@@ -14,32 +13,6 @@ DatabaseOptions Opts(ProtocolKind kind = ProtocolKind::kVc2pl) {
   opts.preload_keys = 10;
   opts.initial_value = "init";
   return opts;
-}
-
-std::vector<ObjectKey> Keys(const KeyIndex& index, ObjectKey lo,
-                            ObjectKey hi) {
-  std::vector<ObjectKey> out;
-  for (auto cur = index.Scan(lo, hi); cur.Valid(); cur.Next()) {
-    out.push_back(cur.key());
-  }
-  return out;
-}
-
-TEST(KeyIndexTest, InsertAndScan) {
-  KeyIndex index;
-  for (ObjectKey k : {5, 1, 9, 3}) index.Insert(k, nullptr);
-  EXPECT_EQ(index.size(), 4u);
-  EXPECT_EQ(Keys(index, 0, 100), (std::vector<ObjectKey>{1, 3, 5, 9}));
-  EXPECT_EQ(Keys(index, 2, 5), (std::vector<ObjectKey>{3, 5}));
-  EXPECT_EQ(Keys(index, 6, 8), (std::vector<ObjectKey>{}));
-  EXPECT_EQ(Keys(index, 9, 9), (std::vector<ObjectKey>{9}));
-}
-
-TEST(KeyIndexTest, DuplicateInsertIsIdempotent) {
-  KeyIndex index;
-  index.Insert(7, nullptr);
-  index.Insert(7, nullptr);
-  EXPECT_EQ(index.size(), 1u);
 }
 
 TEST(ScanTest, FullRangeScan) {

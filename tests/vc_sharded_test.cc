@@ -1,9 +1,12 @@
 // The sharded visibility core: per-residue-class commit watermarks
-// behind the VisibilitySource seam.
+// behind the VisibilitySource seam — the core every kDense
+// VersionControl runs on — and the shared commit pipeline on top of it.
 //
-// The concurrent tests mirror the ring suite (vc_ring_test.cc) — they
-// are the TSan targets for the sharded core — with the two documented
-// observable differences:
+// The concurrent tests are the TSan targets for the sharded core. They
+// hammer Register/Complete/Discard from many threads while a sampler
+// asserts, from outside, the paper's two properties — vtnc never moves
+// backwards, and everything at or below it has resolved — with the two
+// documented observable differences from Figure 1's scalar vtnc:
 //
 //   * the folded floor may name a DISCARDED (or never-assigned) number:
 //     a discarded tn installs no versions, so reading at it reads the
@@ -13,12 +16,12 @@
 //   * at quiesce the floor equals tnc - 1, the last assigned number,
 //     whatever its resolution was.
 //
-// On top of the scalar-core matrix this suite checks the snapshot
-// vector itself (per-shard closure + folded floor coherence), the
-// cached-floor contract (lags, never leads), core-selection regressions
-// (kSiteTagged pins the locked core; Promote still routes there), a
-// Database integration pass, and the deterministic-explorer sweeps that
-// run the watermark-vector oracle per schedule.
+// The suite also checks the snapshot vector itself (per-shard closure +
+// folded floor coherence), the cached-floor contract (lags, never
+// leads), the one routing rule (numbering mode picks the core), a
+// Database integration pass, the group-commit pipeline end to end, and
+// the deterministic-explorer sweeps that run the watermark-vector
+// oracle per schedule.
 
 #include <gtest/gtest.h>
 
@@ -49,7 +52,7 @@ TEST(VcSharded, StressClosurePropertyUnderConcurrentResolves) {
   constexpr uint64_t kPerThread = 4000;
   constexpr uint64_t kMaxTn = kThreads * kPerThread + 1;
 
-  VersionControl vc(NumberingMode::kDense, VcCoreKind::kSharded);
+  VersionControl vc;
   ASSERT_STREQ(vc.core_name(), "sharded");
 
   // resolved[tn] is written BEFORE the Complete/Discard call for tn, so
@@ -66,7 +69,7 @@ TEST(VcSharded, StressClosurePropertyUnderConcurrentResolves) {
       ASSERT_GE(v, last) << "floor moved backwards";
       if (v > last) {
         // New visibility horizon: everything at or below it resolved.
-        // (Unlike the scalar ring, v itself may be a discard.)
+        // (Unlike Figure 1's vtnc, v itself may be a discard.)
         for (TxnNumber t = last + 1; t <= v; ++t) {
           ASSERT_NE(resolved[t].load(std::memory_order_acquire),
                     kUnresolved)
@@ -114,8 +117,7 @@ TEST(VcSharded, SnapshotVectorCoherenceUnderConcurrentResolves) {
   constexpr uint64_t kPerThread = 3000;
   constexpr uint64_t kMaxTn = kThreads * kPerThread + 1;
 
-  VersionControl vc(NumberingMode::kDense, VcCoreKind::kSharded,
-                    /*vc_shards=*/8);
+  VersionControl vc(NumberingMode::kDense, /*vc_shards=*/8);
   ASSERT_EQ(vc.ShardCount(), 8u);
 
   std::vector<std::atomic<uint8_t>> resolved(kMaxTn + 1);
@@ -185,8 +187,7 @@ TEST(VcSharded, SnapshotVectorCoherenceUnderConcurrentResolves) {
 // double-count a transaction. Two shards keep the lap count honest
 // without 200k iterations.
 TEST(VcSharded, WraparoundReusesSlotsAcrossManyLaps) {
-  VersionControl vc(NumberingMode::kDense, VcCoreKind::kSharded,
-                    /*vc_shards=*/2);
+  VersionControl vc(NumberingMode::kDense, /*vc_shards=*/2);
   const uint64_t total = 3 * 2 * ShardedVisibility::kShardRingSize + 17;
   for (uint64_t i = 1; i <= total; ++i) {
     const TxnNumber tn = vc.Register(1);
@@ -201,7 +202,7 @@ TEST(VcSharded, WraparoundReusesSlotsAcrossManyLaps) {
 // visible the moment the head discards (the Figure-1 deviation, here
 // "the head's class cursor advances").
 TEST(VcSharded, DiscardedHeadDrainsCompletedSuffix) {
-  VersionControl vc(NumberingMode::kDense, VcCoreKind::kSharded);
+  VersionControl vc;
   const TxnNumber t1 = vc.Register(1);
   const TxnNumber t2 = vc.Register(2);
   const TxnNumber t3 = vc.Register(3);
@@ -213,25 +214,24 @@ TEST(VcSharded, DiscardedHeadDrainsCompletedSuffix) {
   EXPECT_EQ(vc.QueueSize(), 0u);
 }
 
-// Documented divergence from the scalar ring: the folded floor may
-// name a discarded number (it installs no versions, so the visible
-// version set is the same as at the completed number below it).
+// Documented divergence from Figure 1's vtnc: the folded floor may name
+// a discarded number (it installs no versions, so the visible version
+// set is the same as at the completed number below it).
 TEST(VcSharded, FloorMayNameDiscardedNumber) {
-  VersionControl vc(NumberingMode::kDense, VcCoreKind::kSharded);
+  VersionControl vc;
   const TxnNumber t1 = vc.Register(1);
   const TxnNumber t2 = vc.Register(2);
   vc.Complete(t1);
   EXPECT_EQ(vc.vtnc(), t1);
   vc.Discard(t2);
-  EXPECT_EQ(vc.vtnc(), t2);  // the ring would stay at t1
+  EXPECT_EQ(vc.vtnc(), t2);  // the locked core would stay at t1
   EXPECT_EQ(vc.QueueSize(), 0u);
 }
 
 // A registration a full per-class ring ahead of its class's cursor
 // blocks until a slot frees, then proceeds.
 TEST(VcSharded, FullShardRingBackpressuresRegister) {
-  VersionControl vc(NumberingMode::kDense, VcCoreKind::kSharded,
-                    /*vc_shards=*/2);
+  VersionControl vc(NumberingMode::kDense, /*vc_shards=*/2);
   std::vector<TxnNumber> tns;
   for (uint64_t i = 0; i < 2 * ShardedVisibility::kShardRingSize; ++i) {
     tns.push_back(vc.Register(1));
@@ -262,15 +262,15 @@ TEST(VcSharded, FullShardRingBackpressuresRegister) {
 // never-assigned range without stalling the drain, wedging
 // WaitNoActiveAtOrBelow, or inflating QueueSize.
 TEST(VcSharded, CounterJumpLeavesDrainableGap) {
-  VersionControl vc(NumberingMode::kDense, VcCoreKind::kSharded);
+  VersionControl vc;
   const TxnNumber t1 = vc.Register(1);
   vc.Complete(t1);
   vc.AdvanceCounterPast(100);
   EXPECT_EQ(vc.NextNumber(), 101u);
   vc.WaitNoActiveAtOrBelow(100);  // gap only: must not block
-  // Unlike the scalar ring (whose vtnc parks at the last COMPLETED
-  // number), the folded floor walks the gap: at quiesce it reaches
-  // counter - 1 even though 2..100 were never assigned.
+  // Unlike Figure 1's vtnc (which parks at the last COMPLETED number),
+  // the folded floor walks the gap: at quiesce it reaches counter - 1
+  // even though 2..100 were never assigned.
   EXPECT_EQ(vc.vtnc(), 100u);
   const TxnNumber t2 = vc.Register(2);
   EXPECT_EQ(t2, 101u);
@@ -284,7 +284,7 @@ TEST(VcSharded, CounterJumpLeavesDrainableGap) {
 // post-jump transaction completing FIRST — the floor must hop the gap
 // only after the pre-jump prefix resolves.
 TEST(VcSharded, GapDrainsOnlyAfterPrecedingPrefixResolves) {
-  VersionControl vc(NumberingMode::kDense, VcCoreKind::kSharded);
+  VersionControl vc;
   const TxnNumber t1 = vc.Register(1);
   vc.AdvanceCounterPast(50);
   const TxnNumber t2 = vc.Register(2);
@@ -297,7 +297,7 @@ TEST(VcSharded, GapDrainsOnlyAfterPrecedingPrefixResolves) {
 }
 
 TEST(VcSharded, StartAtLeastWakesWhenFloorReachesTarget) {
-  VersionControl vc(NumberingMode::kDense, VcCoreKind::kSharded);
+  VersionControl vc;
   const TxnNumber t1 = vc.Register(1);
   const TxnNumber t2 = vc.Register(2);
 
@@ -321,7 +321,7 @@ constexpr uint8_t kAssigned = 3;
 TEST(VcSharded, WaitNoActiveAtOrBelowUnderChurn) {
   constexpr int kThreads = 4;
   constexpr uint64_t kPerThread = 2000;
-  VersionControl vc(NumberingMode::kDense, VcCoreKind::kSharded);
+  VersionControl vc;
   // AdvanceCounterPast pushes assignments past kThreads * kPerThread;
   // size generously and stop workers that run off the end.
   const uint64_t kMaxTn = 4 * kThreads * kPerThread;
@@ -371,7 +371,7 @@ TEST(VcSharded, WaitNoActiveAtOrBelowUnderChurn) {
 // the exact fold arbitrarily but must never lead it, and RefreshFloor
 // is what moves it.
 TEST(VcSharded, CachedFloorLagsAndRefreshPublishes) {
-  VersionControl vc(NumberingMode::kDense, VcCoreKind::kSharded);
+  VersionControl vc;
   for (TxnNumber i = 1; i <= 10; ++i) {
     vc.Complete(vc.Register(1));
     EXPECT_LE(vc.CachedFloor(), vc.vtnc());
@@ -389,7 +389,7 @@ TEST(VcSharded, CachedFloorLagsAndRefreshPublishes) {
 // RecoverTo restores counters after crash recovery: next Register gets
 // last_committed + 1 and the floor (cached and exact) starts there.
 TEST(VcSharded, RecoverToRestoresCountersAndFloor) {
-  VersionControl vc(NumberingMode::kDense, VcCoreKind::kSharded);
+  VersionControl vc;
   vc.RecoverTo(1000);
   EXPECT_EQ(vc.NextNumber(), 1001u);
   EXPECT_EQ(vc.vtnc(), 1000u);
@@ -402,24 +402,22 @@ TEST(VcSharded, RecoverToRestoresCountersAndFloor) {
   EXPECT_EQ(vc.QueueSize(), 0u);
 }
 
-// ---- core-selection regressions ----
+// ---- core routing ----
 
-// kSiteTagged numbering must pin the locked (map) core no matter what
-// core the caller asks for: Promote — 2PC number agreement — moves an
-// entry to a non-dense global number that neither dense core can index.
-TEST(VcSharded, SiteTaggedAlwaysRoutesToLockedCore) {
-  VersionControl requested_sharded(NumberingMode::kSiteTagged,
-                                   VcCoreKind::kSharded);
-  EXPECT_STREQ(requested_sharded.core_name(), "locked");
-  EXPECT_EQ(requested_sharded.core_kind(), VcCoreKind::kLocked);
+// The numbering mode alone picks the core. kDense runs the sharded
+// core; kSiteTagged pins the locked (map) core, because Promote — 2PC
+// number agreement — moves an entry to a non-dense global number the
+// sharded core cannot index.
+TEST(VcSharded, NumberingModePicksCore) {
+  VersionControl dense;
+  EXPECT_STREQ(dense.core_name(), "sharded");
+  EXPECT_EQ(dense.ShardCount(), ShardedVisibility::kDefaultShards);
 
-  VersionControl requested_ring(NumberingMode::kSiteTagged,
-                                VcCoreKind::kRing);
-  EXPECT_STREQ(requested_ring.core_name(), "locked");
-
-  // Promote must work through the facade on the site core (2PC number
+  VersionControl site(NumberingMode::kSiteTagged, /*vc_shards=*/8);
+  EXPECT_STREQ(site.core_name(), "locked");
+  EXPECT_EQ(site.ShardCount(), 1u);
+  // Promote works through the facade on the site core (2PC number
   // agreement only ever moves forward in serial order).
-  VersionControl site(NumberingMode::kSiteTagged);
   const TxnNumber proposed = site.Register(1, /*tiebreak=*/7);
   const TxnNumber agreed = proposed + 1000;
   site.Promote(proposed, agreed);
@@ -427,19 +425,19 @@ TEST(VcSharded, SiteTaggedAlwaysRoutesToLockedCore) {
   EXPECT_EQ(site.vtnc(), agreed);
 }
 
-TEST(VcSharded, DenseCoreSelectionHonorsRequest) {
-  VersionControl dflt;  // kDense + kAuto -> ring
-  EXPECT_TRUE(dflt.ring_core());
-  EXPECT_STREQ(dflt.core_name(), "ring");
-
-  VersionControl sharded(NumberingMode::kDense, VcCoreKind::kSharded);
-  EXPECT_STREQ(sharded.core_name(), "sharded");
-  EXPECT_FALSE(sharded.ring_core());
-  EXPECT_GT(sharded.ShardCount(), 1u);
-
-  VersionControl locked(NumberingMode::kDense, VcCoreKind::kLocked);
-  EXPECT_STREQ(locked.core_name(), "locked");
-  EXPECT_EQ(locked.ShardCount(), 1u);
+// The literal-Figure-1 knob swaps a kDense instance onto the locked
+// core (the stalled-suffix observable is defined on the map queue); it
+// must be set before any registration.
+TEST(VcSharded, LiteralFigure1KnobSwitchesToLockedCore) {
+  VersionControl vc;
+  vc.SetLiteralFigure1DiscardForTest(true);
+  EXPECT_STREQ(vc.core_name(), "locked");
+  const TxnNumber t1 = vc.Register(1);
+  const TxnNumber t2 = vc.Register(2);
+  vc.Complete(t2);
+  vc.Discard(t1);               // literal discard: no head drain
+  EXPECT_EQ(vc.vtnc(), 0u);     // the known stall the oracle catches
+  EXPECT_EQ(vc.QueueSize(), 1u);
 }
 
 // ---- Database integration ----
@@ -451,7 +449,6 @@ TEST(VcSharded, DatabaseRunsOnShardedCore) {
   opts.protocol = ProtocolKind::kVc2pl;
   opts.preload_keys = 32;
   opts.enable_gc = true;
-  opts.vc_core = VcCoreKind::kSharded;
   Database db(opts);
   ASSERT_STREQ(db.version_control().core_name(), "sharded");
   ASSERT_GT(db.version_control().ShardCount(), 1u);
@@ -494,7 +491,6 @@ TEST(VcSharded, DatabaseRunsOnShardedCore) {
 TEST(VcSharded, BeginReadOnlyAtLeastOnShardedCore) {
   DatabaseOptions opts;
   opts.preload_keys = 4;
-  opts.vc_core = VcCoreKind::kSharded;
   Database db(opts);
 
   auto rw = db.Begin(TxnClass::kReadWrite);
@@ -510,7 +506,109 @@ TEST(VcSharded, BeginReadOnlyAtLeastOnShardedCore) {
   ro->Commit();
 }
 
+// ---- the shared commit pipeline ----
+
+// Concurrent committers through one Database: every commit's batch is
+// durable (in the WAL) and the group-commit accounting holds —
+// batches_logged equals the number of logged commits while
+// groups_flushed never exceeds it (their gap is the batching win).
+TEST(VcSharded, PipelineGroupCommitDurableBeforeVisible) {
+  DatabaseOptions opts;
+  opts.protocol = ProtocolKind::kVc2pl;
+  opts.preload_keys = 64;
+  opts.enable_wal = true;
+  Database db(opts);
+
+  constexpr int kThreads = 8;
+  constexpr int kTxnsPerThread = 200;
+  std::atomic<uint64_t> commits{0};
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kThreads; ++w) {
+    workers.emplace_back([&, w] {
+      Random rng(1234 + w);
+      for (int i = 0; i < kTxnsPerThread; ++i) {
+        auto txn = db.Begin(TxnClass::kReadWrite);
+        bool ok = txn->Write(rng.Uniform(64), "v").ok() &&
+                  txn->Write(rng.Uniform(64), "w").ok();
+        if (ok && txn->Commit().ok()) {
+          commits.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+
+  const uint64_t committed = commits.load();
+  ASSERT_GT(committed, 0u);
+  EXPECT_EQ(db.commit_pipeline().batches_logged(), committed);
+  EXPECT_LE(db.commit_pipeline().groups_flushed(),
+            db.commit_pipeline().batches_logged());
+  EXPECT_GE(db.commit_pipeline().groups_flushed(), 1u);
+
+  // Write-ahead-of-visibility at quiesce: every committed tn at or
+  // below vtnc has its batch in the log, exactly once.
+  const TxnNumber vtnc = db.version_control().vtnc();
+  std::vector<uint64_t> seen;
+  for (const CommitBatch& b : db.wal()->Batches()) {
+    EXPECT_LE(b.tn, vtnc);
+    seen.push_back(b.tn);
+  }
+  EXPECT_EQ(seen.size(), committed);
+  std::sort(seen.begin(), seen.end());
+  EXPECT_TRUE(std::adjacent_find(seen.begin(), seen.end()) == seen.end())
+      << "duplicate batch tn in the WAL";
+}
+
+// All four VC protocols route their epilogue through the pipeline; a
+// sequential sanity pass over each must log through it.
+TEST(VcSharded, EveryVcProtocolLogsThroughThePipeline) {
+  for (ProtocolKind protocol :
+       {ProtocolKind::kVc2pl, ProtocolKind::kVcTo, ProtocolKind::kVcOcc,
+        ProtocolKind::kVcAdaptive}) {
+    DatabaseOptions opts;
+    opts.protocol = protocol;
+    opts.preload_keys = 8;
+    opts.enable_wal = true;
+    Database db(opts);
+    uint64_t committed = 0;
+    for (int i = 0; i < 20; ++i) {
+      auto txn = db.Begin(TxnClass::kReadWrite);
+      if (txn->Write(i % 8, "x").ok() && txn->Commit().ok()) ++committed;
+    }
+    EXPECT_GT(committed, 0u) << ProtocolKindName(protocol);
+    EXPECT_EQ(db.commit_pipeline().batches_logged(), committed)
+        << ProtocolKindName(protocol);
+    EXPECT_EQ(db.wal()->Batches().size(), committed)
+        << ProtocolKindName(protocol);
+  }
+}
+
 // ---- schedule exploration with the watermark-vector oracle ----
+
+// Schedule exploration with the WAL on (and no crash injection): the
+// scheduler interleaves tasks at "pipeline.enqueue" so real multi-batch
+// groups form, and every execution is checked by the full oracle stack
+// (MVSG one-copy serializability, the Section 5.1 lemmas, vtnc
+// invariants, read-only wait-freedom, the watermark-vector oracle).
+TEST(VcSharded, ExplorerSweepOverGroupCommitPipeline) {
+  for (ProtocolKind protocol :
+       {ProtocolKind::kVc2pl, ProtocolKind::kVcTo, ProtocolKind::kVcOcc,
+        ProtocolKind::kVcAdaptive}) {
+    uint64_t total_commits = 0;
+    for (uint64_t seed = 1; seed <= 15; ++seed) {
+      sim::ExploreOptions opt;
+      opt.protocol = protocol;
+      opt.seed = seed;
+      opt.enable_wal = true;
+      const sim::SimReport report = sim::ExploreOnce(opt);
+      ASSERT_TRUE(report.ok())
+          << ProtocolKindName(protocol) << " seed " << seed << " "
+          << report.Summary();
+      total_commits += report.commits;
+    }
+    EXPECT_GT(total_commits, 15u) << ProtocolKindName(protocol);
+  }
+}
 
 // Every protocol under the deterministic scheduler on the sharded core:
 // the full oracle stack (MVSG, lemmas, vtnc invariants, read-only
@@ -526,7 +624,6 @@ TEST(VcSharded, ExplorerSweepShardedVisibility) {
       sim::ExploreOptions opt;
       opt.protocol = protocol;
       opt.seed = seed;
-      opt.sharded_visibility = true;
       // A small shard count makes cross-class interleavings (one class
       // stalled while others drain) common within tiny schedules.
       opt.vc_shards = 4;
@@ -547,7 +644,6 @@ TEST(VcSharded, ExplorerShardedWithWalCrashAndGc) {
   for (uint64_t seed = 1; seed <= 6; ++seed) {
     sim::ExploreOptions opt;
     opt.seed = seed;
-    opt.sharded_visibility = true;
     opt.vc_shards = 4;
     opt.enable_wal = true;
     opt.gc_task = true;

@@ -4,32 +4,55 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
+
+#include "vc/locked_core.h"
 
 namespace mvcc {
 namespace {
 
-TEST(VersionControlTest, InitialCounters) {
-  VersionControl vc;
+// The dense-numbering cases run against both cores a kDense
+// VersionControl can sit on: the locked Figure-1 reference, where vtnc
+// takes the exact values of the paper's pseudocode, and the default
+// (sharded) core, whose folded floor may name a discarded number — see
+// VcSharded.FloorMayNameDiscardedNumber.
+enum class DenseCore { kLocked, kDefault };
+
+std::unique_ptr<VisibilitySource> MakeCore(DenseCore core) {
+  if (core == DenseCore::kLocked) {
+    return std::make_unique<LockedVisibility>(NumberingMode::kDense);
+  }
+  return std::make_unique<VersionControl>();
+}
+
+class DenseCoreTest : public ::testing::TestWithParam<DenseCore> {
+ protected:
+  bool locked() const { return GetParam() == DenseCore::kLocked; }
+
+  std::unique_ptr<VisibilitySource> core_ = MakeCore(GetParam());
+  VisibilitySource& vc = *core_;
+};
+
+TEST_P(DenseCoreTest, InitialCounters) {
   EXPECT_EQ(vc.Start(), 0u);       // vtnc = 0
   EXPECT_EQ(vc.NextNumber(), 1u);  // tnc = 1; invariant vtnc < tnc
   EXPECT_EQ(vc.QueueSize(), 0u);
 }
 
-TEST(VersionControlTest, RegisterAssignsDenseNumbers) {
-  VersionControl vc;
-  EXPECT_EQ(vc.Register(10), 1u);
-  EXPECT_EQ(vc.Register(11), 2u);
-  EXPECT_EQ(vc.Register(12), 3u);
+TEST_P(DenseCoreTest, RegisterAssignsDenseNumbers) {
+  EXPECT_EQ(vc.Register(10, 0), 1u);
+  EXPECT_EQ(vc.Register(11, 0), 2u);
+  EXPECT_EQ(vc.Register(12, 0), 3u);
   EXPECT_EQ(vc.QueueSize(), 3u);
   EXPECT_EQ(vc.NextNumber(), 4u);
 }
 
-TEST(VersionControlTest, CompleteInOrderAdvancesVtnc) {
-  VersionControl vc;
-  const TxnNumber t1 = vc.Register(1);
-  const TxnNumber t2 = vc.Register(2);
+TEST_P(DenseCoreTest, CompleteInOrderAdvancesVtnc) {
+  const TxnNumber t1 = vc.Register(1, 0);
+  const TxnNumber t2 = vc.Register(2, 0);
   vc.Complete(t1);
   EXPECT_EQ(vc.Start(), t1);
   vc.Complete(t2);
@@ -37,25 +60,23 @@ TEST(VersionControlTest, CompleteInOrderAdvancesVtnc) {
   EXPECT_EQ(vc.QueueSize(), 0u);
 }
 
-TEST(VersionControlTest, OutOfOrderCompletionDelaysVisibility) {
+TEST_P(DenseCoreTest, OutOfOrderCompletionDelaysVisibility) {
   // The central mechanism: a completed younger transaction stays
   // invisible while an older registered transaction is active.
-  VersionControl vc;
-  const TxnNumber t1 = vc.Register(1);
-  const TxnNumber t2 = vc.Register(2);
+  const TxnNumber t1 = vc.Register(1, 0);
+  const TxnNumber t2 = vc.Register(2, 0);
   vc.Complete(t2);
   EXPECT_EQ(vc.Start(), 0u);  // t2's updates are NOT visible yet
   vc.Complete(t1);
   EXPECT_EQ(vc.Start(), t2);  // both become visible, in serial order
 }
 
-TEST(VersionControlTest, DiscardReleasesDelayedVisibility) {
+TEST_P(DenseCoreTest, DiscardReleasesDelayedVisibility) {
   // The documented deviation from Figure 1: discarding the head must
   // drain the completed suffix, otherwise vtnc stalls forever.
-  VersionControl vc;
-  const TxnNumber t1 = vc.Register(1);
-  const TxnNumber t2 = vc.Register(2);
-  const TxnNumber t3 = vc.Register(3);
+  const TxnNumber t1 = vc.Register(1, 0);
+  const TxnNumber t2 = vc.Register(2, 0);
+  const TxnNumber t3 = vc.Register(3, 0);
   vc.Complete(t2);
   vc.Complete(t3);
   EXPECT_EQ(vc.Start(), 0u);
@@ -63,31 +84,50 @@ TEST(VersionControlTest, DiscardReleasesDelayedVisibility) {
   EXPECT_EQ(vc.Start(), t3);
 }
 
-TEST(VersionControlTest, DiscardMiddleLeavesVtncAlone) {
-  VersionControl vc;
-  const TxnNumber t1 = vc.Register(1);
-  const TxnNumber t2 = vc.Register(2);
-  const TxnNumber t3 = vc.Register(3);
+TEST_P(DenseCoreTest, DiscardMiddleLeavesVtncAlone) {
+  const TxnNumber t1 = vc.Register(1, 0);
+  const TxnNumber t2 = vc.Register(2, 0);
+  const TxnNumber t3 = vc.Register(3, 0);
   vc.Discard(t2);
   EXPECT_EQ(vc.Start(), 0u);
   vc.Complete(t1);
-  EXPECT_EQ(vc.Start(), t1);
+  if (locked()) {
+    EXPECT_EQ(vc.Start(), t1);  // Figure 1: a discard never becomes vtnc
+  } else {
+    // The sharded floor may name the discarded t2, never the active t3.
+    EXPECT_GE(vc.Start(), t1);
+    EXPECT_LT(vc.Start(), t3);
+  }
   vc.Complete(t3);
   EXPECT_EQ(vc.Start(), t3);
 }
 
-TEST(VersionControlTest, VtncStrictlyBelowTnc) {
-  VersionControl vc;
+// On the locked reference a discarded number is drained past without
+// ever becoming the visibility horizon.
+TEST(VersionControlTest, LockedDiscardNeverBecomesVtnc) {
+  LockedVisibility vc(NumberingMode::kDense);
+  const TxnNumber t1 = vc.Register(1, 0);
+  const TxnNumber t2 = vc.Register(2, 0);
+  vc.Complete(t1);
+  EXPECT_EQ(vc.vtnc(), t1);
+  vc.Discard(t2);
+  EXPECT_EQ(vc.vtnc(), t1);  // drained past t2, horizon unchanged
+  EXPECT_EQ(vc.QueueSize(), 0u);
+  const TxnNumber t3 = vc.Register(3, 0);
+  vc.Complete(t3);
+  EXPECT_EQ(vc.vtnc(), t3);
+}
+
+TEST_P(DenseCoreTest, VtncStrictlyBelowTnc) {
   for (int i = 0; i < 100; ++i) {
-    const TxnNumber tn = vc.Register(i);
+    const TxnNumber tn = vc.Register(i, 0);
     vc.Complete(tn);
     EXPECT_LT(vc.Start(), vc.NextNumber());
   }
 }
 
-TEST(VersionControlTest, StartAtLeastBlocksUntilVisible) {
-  VersionControl vc;
-  const TxnNumber t1 = vc.Register(1);
+TEST_P(DenseCoreTest, StartAtLeastBlocksUntilVisible) {
+  const TxnNumber t1 = vc.Register(1, 0);
   std::atomic<TxnNumber> observed{0};
   std::thread reader([&] { observed.store(vc.StartAtLeast(t1)); });
   // Give the reader a moment to block.
@@ -98,17 +138,15 @@ TEST(VersionControlTest, StartAtLeastBlocksUntilVisible) {
   EXPECT_GE(observed.load(), t1);
 }
 
-TEST(VersionControlTest, StartAtLeastReturnsImmediatelyWhenVisible) {
-  VersionControl vc;
-  const TxnNumber t1 = vc.Register(1);
+TEST_P(DenseCoreTest, StartAtLeastReturnsImmediatelyWhenVisible) {
+  const TxnNumber t1 = vc.Register(1, 0);
   vc.Complete(t1);
   EXPECT_EQ(vc.StartAtLeast(t1), t1);
 }
 
-TEST(VersionControlTest, WaitNoActiveAtOrBelow) {
-  VersionControl vc;
-  const TxnNumber t1 = vc.Register(1);
-  const TxnNumber t2 = vc.Register(2);
+TEST_P(DenseCoreTest, WaitNoActiveAtOrBelow) {
+  const TxnNumber t1 = vc.Register(1, 0);
+  const TxnNumber t2 = vc.Register(2, 0);
   std::atomic<bool> released{false};
   std::thread waiter([&] {
     vc.WaitNoActiveAtOrBelow(t1);
@@ -122,12 +160,11 @@ TEST(VersionControlTest, WaitNoActiveAtOrBelow) {
   vc.Complete(t2);
 }
 
-TEST(VersionControlTest, AdvanceCounterPast) {
-  VersionControl vc;
+TEST_P(DenseCoreTest, AdvanceCounterPast) {
   vc.AdvanceCounterPast(100);
-  EXPECT_EQ(vc.Register(1), 101u);
+  EXPECT_EQ(vc.Register(1, 0), 101u);
   vc.AdvanceCounterPast(50);  // already past: no-op
-  EXPECT_EQ(vc.Register(2), 102u);
+  EXPECT_EQ(vc.Register(2, 0), 102u);
 }
 
 TEST(VersionControlTest, SiteTaggedNumbersEmbedTiebreak) {
@@ -158,15 +195,14 @@ TEST(VersionControlTest, PromoteToSameNumberBumpsCounter) {
   vc.Complete(proposed);
 }
 
-TEST(VersionControlTest, StartAtLeastReleasedByDiscardDrainingHead) {
+TEST_P(DenseCoreTest, StartAtLeastReleasedByDiscardDrainingHead) {
   // Regression: a StartAtLeast waiter depends on Discard advancing vtnc.
   // t2 completes behind the still-active head t1; a reader insists on
   // seeing t2. When t1 aborts, Discard must drain the completed suffix
   // (advancing vtnc to t2) AND signal the condition variable — with
   // Figure 1's literal VCdiscard the waiter would hang forever.
-  VersionControl vc;
-  const TxnNumber t1 = vc.Register(1);
-  const TxnNumber t2 = vc.Register(2);
+  const TxnNumber t1 = vc.Register(1, 0);
+  const TxnNumber t2 = vc.Register(2, 0);
   vc.Complete(t2);
   ASSERT_EQ(vc.Start(), 0u);  // invisible behind the active head
 
@@ -293,16 +329,17 @@ TEST(VersionControlTest, AdvanceCounterPastVsInFlightRegister) {
   EXPECT_LT(vc.Start(), vc.NextNumber());
 }
 
-TEST(VersionControlTest, WaitNoActiveReleasedByMixedCompleteAndDiscard) {
+TEST_P(DenseCoreTest, WaitNoActiveReleasedByMixedCompleteAndDiscard) {
   // The Section 6 snapshot-read barrier must fall no matter HOW the
   // registered transactions below the bound resolve: commits
   // (Complete) and aborts (Discard) both count, in any interleaving.
   constexpr int kRounds = 50;
   for (int round = 0; round < kRounds; ++round) {
-    VersionControl vc;
+    std::unique_ptr<VisibilitySource> core = MakeCore(GetParam());
+    VisibilitySource& vc = *core;
     constexpr int kTxns = 6;
     std::vector<TxnNumber> tns;
-    for (int i = 0; i < kTxns; ++i) tns.push_back(vc.Register(i + 1));
+    for (int i = 0; i < kTxns; ++i) tns.push_back(vc.Register(i + 1, 0));
     const TxnNumber bound = tns.back();
 
     std::atomic<bool> released{false};
@@ -331,11 +368,10 @@ TEST(VersionControlTest, WaitNoActiveReleasedByMixedCompleteAndDiscard) {
   }
 }
 
-TEST(VersionControlTest, ConcurrentRegistrationStress) {
+TEST_P(DenseCoreTest, ConcurrentRegistrationStress) {
   // The two counter properties must hold under concurrency:
   //  - every Start() value is < every later-assigned tn (ordering);
   //  - Start() never exceeds a tn that has not completed (visibility).
-  VersionControl vc;
   constexpr int kThreads = 8;
   constexpr int kPerThread = 2000;
   std::atomic<bool> failed{false};
@@ -344,7 +380,7 @@ TEST(VersionControlTest, ConcurrentRegistrationStress) {
     workers.emplace_back([&] {
       for (int i = 0; i < kPerThread; ++i) {
         const TxnNumber before = vc.Start();
-        const TxnNumber tn = vc.Register(1);
+        const TxnNumber tn = vc.Register(1, 0);
         if (before >= tn) failed.store(true);
         const TxnNumber visible = vc.Start();
         if (visible >= tn) failed.store(true);  // we have not completed
@@ -358,15 +394,14 @@ TEST(VersionControlTest, ConcurrentRegistrationStress) {
   EXPECT_EQ(vc.Start(), uint64_t{kThreads} * kPerThread);
 }
 
-TEST(VersionControlTest, ConcurrentMixedCompleteAndDiscard) {
-  VersionControl vc;
+TEST_P(DenseCoreTest, ConcurrentMixedCompleteAndDiscard) {
   constexpr int kThreads = 8;
   constexpr int kPerThread = 2000;
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
     workers.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        const TxnNumber tn = vc.Register(1);
+        const TxnNumber tn = vc.Register(1, 0);
         if ((i + t) % 3 == 0) {
           vc.Discard(tn);
         } else {
@@ -379,6 +414,14 @@ TEST(VersionControlTest, ConcurrentMixedCompleteAndDiscard) {
   EXPECT_EQ(vc.QueueSize(), 0u);
   EXPECT_LT(vc.Start(), vc.NextNumber());
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Cores, DenseCoreTest,
+    ::testing::Values(DenseCore::kLocked, DenseCore::kDefault),
+    [](const ::testing::TestParamInfo<DenseCore>& info) {
+      return std::string(info.param == DenseCore::kLocked ? "locked"
+                                                          : "sharded");
+    });
 
 }  // namespace
 }  // namespace mvcc
