@@ -5,7 +5,9 @@
 // of log length, (b) the effect of checkpointing on both the log replay
 // cost and the recovered version count, and (c) that the recovered
 // database resumes the serial order (new transactions get larger
-// numbers, readers see the full committed state).
+// numbers, readers see the full committed state). The durable on-disk
+// rows (E10b) go to BENCH_recovery.json with the host header
+// (host_header.h); run from inside the checkout so git_sha resolves.
 
 #include <unistd.h>
 
@@ -15,6 +17,7 @@
 #include <string>
 
 #include "common/clock.h"
+#include "host_header.h"
 #include "recovery/env.h"
 #include "recovery/recovery.h"
 #include "txn/database.h"
@@ -173,6 +176,10 @@ int main() {
                     Table::Bool(cell.state_matches)});
   }
   durable.Print(std::cout);
+  const std::string json = "BENCH_recovery.json";
+  std::cout << (WriteBenchJson(json, durable) ? "\nwrote "
+                                               : "\nfailed to write ")
+            << json << "\n";
   std::cout << "\nexpected shape: checkpoint truncation deletes covered\n"
                "segments and collapses replay; state always matches the\n"
                "pre-crash scan.\n";

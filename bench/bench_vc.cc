@@ -19,21 +19,16 @@
 // (Register..resolve) into a per-worker log-scale histogram; the table
 // reports the merged p50/p99.
 //
-// Writes BENCH_vc.json: {"host": {nproc, compiler, build_type, git_sha},
-// "rows": [...]}.
+// Writes BENCH_vc.json: {"host": {...}, "rows": [...]} (host_header.h).
 //
 // `--smoke` compares like with like: locked and sharded at 8 threads,
 // three interleaved rounds each, and exits nonzero if the sharded
 // median falls below the locked median — the CI regression tripwire for
 // a re-grown serialization point on the sharded hot path.
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <mutex>
@@ -44,6 +39,7 @@
 #include "common/clock.h"
 #include "common/histogram.h"
 #include "common/random.h"
+#include "host_header.h"
 #include "vc/locked_core.h"
 #include "vc/sharded_core.h"
 #include "workload/report.h"
@@ -159,39 +155,6 @@ int RunSmoke() {
   return 0;
 }
 
-std::string RunCommand(const char* cmd) {
-  std::string out;
-  std::FILE* p = ::popen(cmd, "r");
-  if (p == nullptr) return out;
-  char buf[256];
-  while (std::fgets(buf, sizeof(buf), p) != nullptr) out += buf;
-  ::pclose(p);
-  while (!out.empty() && (out.back() == '\n' || out.back() == ' ')) {
-    out.pop_back();
-  }
-  return out;
-}
-
-// The host the figures came from: core count, compiler, build type and
-// the source revision (git_dirty: tracked files differ from it).
-std::string HostJson() {
-#ifdef __clang__
-  const std::string compiler = "clang " __VERSION__;
-#else
-  const std::string compiler = "gcc " __VERSION__;
-#endif
-  std::string sha = RunCommand("git rev-parse HEAD 2>/dev/null");
-  const bool dirty =
-      !sha.empty() &&
-      !RunCommand("git status --porcelain --untracked-files=no 2>/dev/null")
-           .empty();
-  if (sha.empty()) sha = "unknown";
-  return "{\"nproc\": " + std::to_string(::sysconf(_SC_NPROCESSORS_ONLN)) +
-         ", \"compiler\": \"" + compiler + "\", \"build_type\": \"" +
-         MVCC_BUILD_TYPE + "\", \"git_sha\": \"" + sha +
-         "\", \"git_dirty\": " + (dirty ? "true" : "false") + "}";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -224,11 +187,9 @@ int main(int argc, char** argv) {
 
   table.Print(std::cout);
   const std::string json = "BENCH_vc.json";
-  std::ofstream out(json);
-  out << "{\"host\": " << HostJson() << ",\n\"rows\": ";
-  table.PrintJson(out);
-  out << "}\n";
-  std::cout << (out ? "\nwrote " : "\nfailed to write ") << json << "\n";
+  std::cout << (WriteBenchJson(json, table) ? "\nwrote "
+                                             : "\nfailed to write ")
+            << json << "\n";
   std::cout << "\nexpected shape: the locked core's aggregate ops/s\n"
                "collapses as threads are added — every call funnels through\n"
                "one mutex and the waiters convoy (futex round trips). The\n"

@@ -6,6 +6,7 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -35,6 +36,27 @@ std::string ParentDir(const std::string& path) {
   return path.substr(0, slash);
 }
 
+// Writes all of `data` at *offset with pwrite, advancing *offset past
+// every byte that landed (a partial group may already be on disk when
+// this fails: the caller — the WAL — truncates back to the last record
+// boundary).
+Status PwriteAll(int fd, const std::string& path, std::string_view data,
+                 uint64_t* offset) {
+  const char* p = data.data();
+  size_t left = data.size();
+  while (left > 0) {
+    const ssize_t n = ::pwrite(fd, p, left, static_cast<off_t>(*offset));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return ErrnoStatus("write", path, errno);
+    }
+    p += n;
+    left -= static_cast<size_t>(n);
+    *offset += static_cast<uint64_t>(n);
+  }
+  return Status::OK();
+}
+
 class PosixWritableFile final : public WritableFile {
  public:
   PosixWritableFile(std::string path, int fd, uint64_t offset)
@@ -45,34 +67,20 @@ class PosixWritableFile final : public WritableFile {
   }
 
   Status Append(std::string_view data) override {
-    const char* p = data.data();
-    size_t left = data.size();
-    while (left > 0) {
-      const ssize_t n = ::write(fd_, p, left);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        // A partial group of bytes may already be on disk: the caller
-        // (WAL) truncates back to the last record boundary on error.
-        return ErrnoStatus("write", path_, errno);
-      }
-      p += n;
-      left -= static_cast<size_t>(n);
-      offset_ += static_cast<uint64_t>(n);
-    }
-    return Status::OK();
+    return PwriteAll(fd_, path_, data, &offset_);
   }
 
   Status Sync() override {
     if (sync_failed_) {
       // fsyncgate: the kernel cleared the dirty/error state on the
-      // first failure; a later fsync returning 0 would not prove those
-      // pages reached disk. Stay failed forever.
-      return Status::DataLoss("fsync " + path_ +
-                              ": previous fsync failed; data unverifiable");
+      // first failure; a later fdatasync returning 0 would not prove
+      // those pages reached disk. Stay failed forever.
+      return Status::DataLoss("fdatasync " + path_ +
+                              ": previous sync failed; data unverifiable");
     }
-    if (::fsync(fd_) != 0) {
+    if (::fdatasync(fd_) != 0) {
       sync_failed_ = true;
-      return ErrnoStatus("fsync", path_, errno);
+      return ErrnoStatus("fdatasync", path_, errno);
     }
     return Status::OK();
   }
@@ -98,7 +106,7 @@ class PosixEnv final : public Env {
  public:
   Result<std::unique_ptr<WritableFile>> NewAppendableFile(
       const std::string& path) override {
-    const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
+    const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT, 0644);
     if (fd < 0) return ErrnoStatus("open", path, errno);
     struct stat st;
     if (::fstat(fd, &st) != 0) {
@@ -108,6 +116,29 @@ class PosixEnv final : public Env {
     }
     return std::unique_ptr<WritableFile>(std::make_unique<PosixWritableFile>(
         path, fd, static_cast<uint64_t>(st.st_size)));
+  }
+
+  Result<std::unique_ptr<WritableFile>> NewPreparedFile(
+      const std::string& path, std::string_view header,
+      uint64_t size) override {
+    const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    if (fd < 0) return ErrnoStatus("open", path, errno);
+    // Real zeros, not fallocate: an unwritten extent would still cost a
+    // journal commit on its first write.
+    std::string image(std::max<uint64_t>(size, header.size()), '\0');
+    image.replace(0, header.size(), header);
+    uint64_t written = 0;
+    Status s = PwriteAll(fd, path, image, &written);
+    if (s.ok() && ::fdatasync(fd) != 0) {
+      s = ErrnoStatus("fdatasync", path, errno);
+    }
+    if (s.ok()) s = SyncDir(ParentDir(path));
+    if (!s.ok()) {
+      ::close(fd);
+      return s;
+    }
+    return std::unique_ptr<WritableFile>(
+        std::make_unique<PosixWritableFile>(path, fd, header.size()));
   }
 
   Result<std::string> ReadFileToString(const std::string& path) override {
@@ -213,6 +244,20 @@ class PosixEnv final : public Env {
 };
 
 }  // namespace
+
+Result<std::unique_ptr<WritableFile>> Env::NewPreparedFile(
+    const std::string& path, std::string_view header, uint64_t /*size*/) {
+  auto file = NewAppendableFile(path);
+  if (!file.ok()) return file.status();
+  Status s = (*file)->Append(header);
+  if (s.ok()) s = (*file)->Sync();
+  if (s.ok()) s = SyncDir(ParentDir(path));
+  if (!s.ok()) {
+    (*file)->Close();
+    return s;
+  }
+  return file;
+}
 
 Env* GetPosixEnv() {
   static PosixEnv* env = new PosixEnv();  // never deleted

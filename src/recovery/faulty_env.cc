@@ -1,6 +1,7 @@
 #include "recovery/faulty_env.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/sim_hook.h"
 
@@ -12,15 +13,41 @@ Status CrashStatus(const char* op) {
   return Status::DataLoss(std::string("injected crash at ") + op);
 }
 
+// The status a fault at an op that persists no record bytes (sync,
+// rename, delete, ...) returns: with nothing to tear or flip, those
+// fail like EIO. OK for kNone.
+Status OpFaultStatus(FaultKind fault, const char* op,
+                     const std::string& what) {
+  switch (fault) {
+    case FaultKind::kCrash:
+      return CrashStatus(op);
+    case FaultKind::kEio:
+    case FaultKind::kTornWrite:
+    case FaultKind::kBitFlip:
+      return Status::DataLoss("injected EIO: " + what);
+    case FaultKind::kEnospc:
+      return Status::ResourceExhausted("injected ENOSPC: " + what);
+    case FaultKind::kNone:
+      break;
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 // Wraps a base WritableFile; each Append/Sync consults the env for the
-// fault to inject before touching the base file.
+// fault to inject before touching the base file. Bytes written below
+// `charged_end` (the file's size when opened, or a prepared file's
+// full size, charged at fill time) overwrite space already charged
+// against the finite-disk model; only bytes past it are charged.
 class FaultyWritableFile final : public WritableFile {
  public:
   FaultyWritableFile(FaultyEnv* env, std::string path,
-                     std::unique_ptr<WritableFile> base)
-      : env_(env), path_(std::move(path)), base_(std::move(base)) {}
+                     std::unique_ptr<WritableFile> base, uint64_t charged_end)
+      : env_(env),
+        path_(std::move(path)),
+        base_(std::move(base)),
+        charged_end_(charged_end) {}
 
   Status Append(std::string_view data) override {
     const FaultKind fault = env_->NextOp("append");
@@ -49,7 +76,7 @@ class FaultyWritableFile final : public WritableFile {
       case FaultKind::kNone:
         break;
     }
-    if (env_->OverCapacity(data.size())) {
+    if (env_->OverCapacity(Uncharged(data.size()))) {
       return Status::ResourceExhausted("injected ENOSPC (disk full): write " +
                                        path_);
     }
@@ -57,19 +84,8 @@ class FaultyWritableFile final : public WritableFile {
   }
 
   Status Sync() override {
-    const FaultKind fault = env_->NextOp("sync");
-    switch (fault) {
-      case FaultKind::kCrash:
-        return CrashStatus("sync");
-      case FaultKind::kEio:
-      case FaultKind::kTornWrite:
-      case FaultKind::kBitFlip:
-        return Status::DataLoss("injected EIO: fsync " + path_);
-      case FaultKind::kEnospc:
-        return Status::ResourceExhausted("injected ENOSPC: fsync " + path_);
-      case FaultKind::kNone:
-        break;
-    }
+    Status s = OpFaultStatus(env_->NextOp("sync"), "sync", "fsync " + path_);
+    if (!s.ok()) return s;
     return base_->Sync();
   }
 
@@ -77,15 +93,26 @@ class FaultyWritableFile final : public WritableFile {
   uint64_t offset() const override { return base_->offset(); }
 
  private:
+  // Bytes of an n-byte write at offset() that land past charged_end_.
+  uint64_t Uncharged(uint64_t n) const {
+    const uint64_t end = base_->offset() + n;
+    return end > charged_end_ ? end - charged_end_ : 0;
+  }
+
   Status AppendCharged(std::string_view data) {
+    const uint64_t extra = Uncharged(data.size());
     Status s = base_->Append(data);
-    if (s.ok()) env_->ChargeBytes(path_, data.size());
+    if (s.ok()) {
+      env_->ChargeBytes(path_, extra);
+      charged_end_ += extra;
+    }
     return s;
   }
 
   FaultyEnv* const env_;
   const std::string path_;
   std::unique_ptr<WritableFile> base_;
+  uint64_t charged_end_;
 };
 
 FaultyEnv::FaultyEnv(Env* base) : base_(base) {}
@@ -181,8 +208,71 @@ Result<std::unique_ptr<WritableFile>> FaultyEnv::NewAppendableFile(
   }
   auto base = base_->NewAppendableFile(path);
   if (!base.ok()) return base.status();
+  const uint64_t size = (*base)->offset();
   return std::unique_ptr<WritableFile>(std::make_unique<FaultyWritableFile>(
-      this, path, std::move(base).value()));
+      this, path, std::move(base).value(), size));
+}
+
+Result<std::unique_ptr<WritableFile>> FaultyEnv::NewPreparedFile(
+    const std::string& path, std::string_view header, uint64_t size) {
+  {
+    std::lock_guard<std::mutex> guard(mu_);
+    if (crashed_) return CrashStatus("open");
+  }
+  // The prepared file replaces whatever was at `path`.
+  CreditFile(path);
+  std::string image(std::max<uint64_t>(size, header.size()), '\0');
+  image.replace(0, header.size(), header);
+  // A fault at one step leaves on disk what the steps before it wrote,
+  // plus a torn prefix of its own write; written through the base Env,
+  // unnumbered. (A crash never loses written bytes here, synced or not:
+  // the decorator models no page cache.)
+  auto leave = [&](uint64_t bytes, Status cause) -> Status {
+    base_->DeleteFile(path);
+    auto file = base_->NewAppendableFile(path);
+    if (!file.ok()) return cause;
+    if ((*file)->Append(std::string_view(image).substr(0, bytes)).ok()) {
+      ChargeBytes(path, bytes);
+    }
+    (*file)->Close();
+    return cause;
+  };
+
+  // Steps 1 and 2: the header write, then the zero fill, which charges
+  // the disk model for the whole file (records written into it later
+  // cost nothing more). A torn write persists half of its own bytes; a
+  // bit flip fails like EIO, as no record is in the file yet to corrupt.
+  const std::pair<const char*, uint64_t> writes[] = {
+      {"append", header.size()}, {"fill", image.size()}};
+  uint64_t written = 0;
+  for (const auto& [op, end] : writes) {
+    if (end == written) continue;  // no fill for a header-only file
+    const FaultKind fault = NextOp(op);
+    if (fault == FaultKind::kTornWrite) {
+      return leave(written + std::max<uint64_t>(1, (end - written) / 2),
+                   Status::DataLoss("injected torn write: " + path));
+    }
+    Status s = OpFaultStatus(fault, op, "write " + path);
+    if (s.ok() && OverCapacity(end)) {
+      s = Status::ResourceExhausted("injected ENOSPC (disk full): write " +
+                                    path);
+    }
+    if (!s.ok()) return leave(written, s);
+    written = end;
+  }
+  // Steps 3 and 4: the file sync, then the directory sync.
+  Status s = OpFaultStatus(NextOp("sync"), "sync", "fsync " + path);
+  if (s.ok()) {
+    s = OpFaultStatus(NextOp("syncdir"), "syncdir",
+                      "fsync(dir) " + EnvParentDir(path));
+  }
+  if (!s.ok()) return leave(image.size(), s);
+
+  auto base = base_->NewPreparedFile(path, header, size);
+  if (!base.ok()) return base.status();
+  ChargeBytes(path, image.size());
+  return std::unique_ptr<WritableFile>(std::make_unique<FaultyWritableFile>(
+      this, path, std::move(base).value(), image.size()));
 }
 
 Result<std::string> FaultyEnv::ReadFileToString(const std::string& path) {
@@ -202,37 +292,17 @@ Result<std::vector<std::string>> FaultyEnv::ListDir(const std::string& dir) {
 }
 
 Status FaultyEnv::DeleteFile(const std::string& path) {
-  switch (NextOp("delete")) {
-    case FaultKind::kCrash:
-      return CrashStatus("delete");
-    case FaultKind::kEio:
-    case FaultKind::kTornWrite:
-    case FaultKind::kBitFlip:
-      return Status::DataLoss("injected EIO: unlink " + path);
-    case FaultKind::kEnospc:
-      return Status::ResourceExhausted("injected ENOSPC: unlink " + path);
-    case FaultKind::kNone:
-      break;
-  }
-  Status s = base_->DeleteFile(path);
+  Status s = OpFaultStatus(NextOp("delete"), "delete", "unlink " + path);
+  if (!s.ok()) return s;
+  s = base_->DeleteFile(path);
   if (s.ok() || s.IsNotFound()) CreditFile(path);
   return s;
 }
 
 Status FaultyEnv::RenameFile(const std::string& from, const std::string& to) {
-  switch (NextOp("rename")) {
-    case FaultKind::kCrash:
-      return CrashStatus("rename");
-    case FaultKind::kEio:
-    case FaultKind::kTornWrite:
-    case FaultKind::kBitFlip:
-      return Status::DataLoss("injected EIO: rename " + from);
-    case FaultKind::kEnospc:
-      return Status::ResourceExhausted("injected ENOSPC: rename " + from);
-    case FaultKind::kNone:
-      break;
-  }
-  Status s = base_->RenameFile(from, to);
+  Status s = OpFaultStatus(NextOp("rename"), "rename", "rename " + from);
+  if (!s.ok()) return s;
+  s = base_->RenameFile(from, to);
   if (s.ok()) {
     std::lock_guard<std::mutex> guard(mu_);
     if (auto it = file_bytes_.find(from); it != file_bytes_.end()) {
@@ -244,19 +314,10 @@ Status FaultyEnv::RenameFile(const std::string& from, const std::string& to) {
 }
 
 Status FaultyEnv::TruncateFile(const std::string& path, uint64_t size) {
-  switch (NextOp("truncate")) {
-    case FaultKind::kCrash:
-      return CrashStatus("truncate");
-    case FaultKind::kEio:
-    case FaultKind::kTornWrite:
-    case FaultKind::kBitFlip:
-      return Status::DataLoss("injected EIO: truncate " + path);
-    case FaultKind::kEnospc:
-      return Status::ResourceExhausted("injected ENOSPC: truncate " + path);
-    case FaultKind::kNone:
-      break;
-  }
-  Status s = base_->TruncateFile(path, size);
+  Status s =
+      OpFaultStatus(NextOp("truncate"), "truncate", "truncate " + path);
+  if (!s.ok()) return s;
+  s = base_->TruncateFile(path, size);
   if (s.ok()) {
     std::lock_guard<std::mutex> guard(mu_);
     auto it = file_bytes_.find(path);
@@ -274,18 +335,8 @@ Status FaultyEnv::CreateDirIfMissing(const std::string& dir) {
 }
 
 Status FaultyEnv::SyncDir(const std::string& dir) {
-  switch (NextOp("syncdir")) {
-    case FaultKind::kCrash:
-      return CrashStatus("syncdir");
-    case FaultKind::kEio:
-    case FaultKind::kTornWrite:
-    case FaultKind::kBitFlip:
-      return Status::DataLoss("injected EIO: fsync(dir) " + dir);
-    case FaultKind::kEnospc:
-      return Status::ResourceExhausted("injected ENOSPC: fsync(dir) " + dir);
-    case FaultKind::kNone:
-      break;
-  }
+  Status s = OpFaultStatus(NextOp("syncdir"), "syncdir", "fsync(dir) " + dir);
+  if (!s.ok()) return s;
   return base_->SyncDir(dir);
 }
 

@@ -25,7 +25,8 @@ enum class FaultKind {
 
 // Deterministic fault-injecting decorator over any Env — the storage
 // analogue of the simulated network's message dropper. Every mutating
-// syscall (append, sync, rename, delete, truncate, dir-sync) gets a
+// syscall (append, sync, rename, delete, truncate, dir-sync, and a
+// prepared file's header write, zero fill, sync and dir-sync) gets a
 // global 0-based index in execution order; faults are placed either
 // explicitly via FailAt(index, kind) or by the installed SimHook's
 // OnEnvOp(op, index) fault query, which lets the schedule explorer
@@ -34,9 +35,11 @@ enum class FaultKind {
 // faults left behind, not re-faulted).
 //
 // The decorator also models a finite disk: with set_capacity_bytes(n),
-// appends beyond n bytes of live data fail with ENOSPC, and deletes
-// credit their file's size back — which is exactly the
-// checkpoint-truncation path the degraded mode relies on.
+// appends and zero fills beyond n bytes of live data fail with ENOSPC
+// (a prepared file is charged its full size when filled, so records
+// written into it cost nothing more), and deletes credit their file's
+// size back — which is exactly the checkpoint-truncation path the
+// degraded mode relies on.
 //
 // Thread-safe; the WAL calls it under its own mutex and the fault query
 // never yields (see SimHook::OnEnvOp).
@@ -69,6 +72,9 @@ class FaultyEnv final : public Env {
   // ---- Env ----
   Result<std::unique_ptr<WritableFile>> NewAppendableFile(
       const std::string& path) override;
+  Result<std::unique_ptr<WritableFile>> NewPreparedFile(
+      const std::string& path, std::string_view header,
+      uint64_t size) override;
   Result<std::string> ReadFileToString(const std::string& path) override;
   bool FileExists(const std::string& path) override;
   Result<uint64_t> FileSize(const std::string& path) override;

@@ -168,9 +168,11 @@ std::string EncodeWalSegmentHeader() {
 
 WalScanResult ScanWalSegment(std::string_view image, const std::string& name) {
   WalScanResult res;
-  if (image.size() < kWalSegmentHeaderBytes) {
+  if (image.size() < kWalSegmentHeaderBytes ||
+      image.find_first_not_of('\0') == std::string_view::npos) {
     // A crash between creating the segment and syncing its magic leaves
-    // a short (possibly empty) file: torn, salvageable to zero records.
+    // a short (possibly empty) file, or a prepared one whose blocks
+    // never reached the disk: torn, salvageable to zero records.
     res.tail = WalTailState::kTorn;
     res.detail = name + ": partial segment header";
     return res;
@@ -183,6 +185,14 @@ WalScanResult ScanWalSegment(std::string_view image, const std::string& name) {
   size_t pos = kWalSegmentHeaderBytes;
   res.valid_bytes = pos;
   while (pos < image.size()) {
+    // Nothing but zeros from a record boundary on is the unwritten rest
+    // of a prepared segment: its clean end. No record starts with a zero
+    // byte run to EOF (a record's length is never 0), so this never
+    // hides a written record; a non-zero byte anywhere after falls
+    // through to the torn/corrupt rules below.
+    if (image.find_first_not_of('\0', pos) == std::string_view::npos) {
+      return res;
+    }
     if (pos + kWalRecordHeaderBytes > image.size()) {
       res.tail = WalTailState::kTorn;
       res.detail = name + ": partial record header at offset " +

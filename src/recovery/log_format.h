@@ -21,8 +21,14 @@ namespace mvcc {
 // flipped bit anywhere in the record — including its own length field's
 // low bits — fails verification. All integers little-endian.
 //
+// A segment made by rotation is prepared: created at its full target
+// size, zero-filled and synced before any record lands in it, so a
+// record write never changes the file's size. Only zero bytes from a
+// record boundary to EOF are that unwritten space: the segment's clean
+// end (valid_bytes stops there, tail stays kClean).
+//
 // The scanner classifies the first invalid record it meets:
-//   - nothing but zero/partial bytes to EOF  -> torn tail (a crash mid-
+//   - nothing but partial bytes to EOF       -> torn tail (a crash mid-
 //     append); the valid prefix is salvageable.
 //   - parseable records after it             -> interior corruption (bit
 //     rot, misdirected write); fail-stop, the log cannot be trusted.
@@ -58,8 +64,9 @@ enum class WalTailState {
 
 struct WalScanResult {
   std::vector<CommitBatch> batches;  // the valid prefix, in append order
-  // Byte length of the valid prefix (segment header + whole records).
-  // Truncating the file here drops exactly the invalid suffix.
+  // Byte length of the valid prefix (segment header + whole records):
+  // where the next record goes. Truncating the file here drops exactly
+  // the invalid suffix, or a prepared segment's zero tail.
   uint64_t valid_bytes = 0;
   WalTailState tail = WalTailState::kClean;
   std::string detail;  // human-readable diagnosis for non-clean tails

@@ -24,8 +24,9 @@ enum class SalvagePolicy {
 // Durability knobs for OpenDurable.
 struct WalDurableOptions {
   SalvagePolicy policy = SalvagePolicy::kSalvageTornTail;
-  // Rotate to a fresh segment once the current one passes this size;
-  // Truncate() deletes whole sealed segments covered by a checkpoint.
+  // Rotate to a fresh segment, prepared at this size, once the current
+  // one reaches it; Truncate() deletes whole sealed segments covered by
+  // a checkpoint.
   uint64_t segment_target_bytes = 64 * 1024;
 };
 
@@ -45,8 +46,11 @@ struct WalOpenReport {
 //    rebuilds it from this object (see recovery.h).
 //
 //  - Durable (OpenDurable): every append is additionally framed with a
-//    CRC32C header (log_format.h), written to an append-only segment
-//    file through an Env, and fsynced before it is acknowledged. The
+//    CRC32C header (log_format.h), written at the log's end in a segment
+//    file through an Env, and synced before it is acknowledged. Segments
+//    after the first are prepared at rotation (Env::NewPreparedFile:
+//    full size, zero-filled, synced), so a group commit is a write in
+//    place plus an fdatasync that changes no file size. The
 //    in-memory batch vector then acts as the serving mirror for
 //    Batches()/BatchesSince() and only ever contains records that are
 //    durable on disk — so visibility can never advance past an
@@ -73,7 +77,8 @@ class WriteAheadLog {
   WriteAheadLog& operator=(const WriteAheadLog&) = delete;
 
   // Opens (or creates) a durable log in `dir`, scan-verifying every
-  // record of every segment:
+  // record of every segment. Appending resumes at the last valid record
+  // of the last segment (its zero tail, if prepared, is truncated away).
   //  - invalid record at the tail of the last segment = torn write:
   //    truncated and salvaged under kSalvageTornTail (reported), error
   //    under kStrict;

@@ -43,13 +43,33 @@ std::string TestDir(const std::string& tag) {
   return dir;
 }
 
-Result<std::unique_ptr<Database>> Open(Env* env, const std::string& dir,
-                                       RecoveryReport* report,
-                                       SalvagePolicy policy =
-                                           SalvagePolicy::kSalvageTornTail) {
+Result<std::unique_ptr<Database>> Open(
+    Env* env, const std::string& dir, RecoveryReport* report,
+    SalvagePolicy policy = SalvagePolicy::kSalvageTornTail,
+    uint64_t segment_bytes = WalDurableOptions{}.segment_target_bytes) {
   WalDurableOptions wopts;
   wopts.policy = policy;
+  wopts.segment_target_bytes = segment_bytes;
   return OpenDatabaseDurable(DurableOpts(), env, dir, wopts, report);
+}
+
+// Segment size for the prepared-segment tests: two of the tests' small
+// records fill one, so a handful of commits rotates several times.
+constexpr uint64_t kSmallSegment = 128;
+
+// Path of the newest WAL segment in `dir`.
+std::string NewestSegment(const std::string& dir) {
+  std::string newest;
+  uint64_t newest_seq = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir + "/wal")) {
+    const uint64_t seq =
+        ParseWalSegmentFileName(entry.path().filename().string());
+    if (seq > newest_seq) {
+      newest_seq = seq;
+      newest = entry.path().string();
+    }
+  }
+  return newest;
 }
 
 TEST(StorageFaultTest, DurableRoundTripSurvivesReopen) {
@@ -454,10 +474,13 @@ struct MatrixRun {
 
 constexpr int kMatrixTxns = 10;
 
-MatrixRun RunMatrixWorkload(FaultyEnv* env, const std::string& dir) {
+MatrixRun RunMatrixWorkload(
+    FaultyEnv* env, const std::string& dir,
+    uint64_t segment_bytes = WalDurableOptions{}.segment_target_bytes) {
   MatrixRun run;
   RecoveryReport report;
-  auto db = Open(env, dir, &report);
+  auto db = Open(env, dir, &report, SalvagePolicy::kSalvageTornTail,
+                 segment_bytes);
   if (!db.ok()) {
     run.ops = env->op_count();
     return run;
@@ -503,11 +526,17 @@ int CheckRecoveredPrefix(Database* db) {
   return k;
 }
 
-TEST(StorageFaultTest, CrashMatrixLosesOnlyAnUnackedSuffix) {
+// Runs the matrix: for every mutating syscall index c of the workload,
+// fault it, recover from the directory as the fault left it, and check
+// the oracle and that the recovered database accepts new commits. With
+// `die_mid_write` the op at c is torn (a write persists a prefix; any
+// other op fails) and the process dies at the op after it — how a
+// crash in the middle of a write looks on disk.
+void RunCrashMatrix(uint64_t segment_bytes, bool die_mid_write) {
   // Fault-free probe run sizes the matrix.
   const std::string probe_dir = TestDir("matrix_probe");
   FaultyEnv probe(GetPosixEnv());
-  const MatrixRun clean = RunMatrixWorkload(&probe, probe_dir);
+  const MatrixRun clean = RunMatrixWorkload(&probe, probe_dir, segment_bytes);
   ASSERT_TRUE(clean.opened);
   ASSERT_EQ(clean.acked, kMatrixTxns);
   ASSERT_GT(clean.ops, 0u);
@@ -515,12 +544,19 @@ TEST(StorageFaultTest, CrashMatrixLosesOnlyAnUnackedSuffix) {
   for (uint64_t c = 0; c < clean.ops; ++c) {
     const std::string dir = TestDir("matrix_" + std::to_string(c));
     FaultyEnv env(GetPosixEnv());
-    env.FailAt(c, FaultKind::kCrash);
-    const MatrixRun crashed = RunMatrixWorkload(&env, dir);
-    EXPECT_TRUE(env.crashed()) << "crash at op " << c << " never fired";
+    if (die_mid_write) {
+      env.FailAt(c, FaultKind::kTornWrite);
+      env.FailAt(c + 1, FaultKind::kCrash);
+    } else {
+      env.FailAt(c, FaultKind::kCrash);
+    }
+    const MatrixRun crashed = RunMatrixWorkload(&env, dir, segment_bytes);
+    EXPECT_TRUE(die_mid_write || env.crashed())
+        << "crash at op " << c << " never fired";
 
     RecoveryReport report;
-    auto db = Open(GetPosixEnv(), dir, &report);
+    auto db = Open(GetPosixEnv(), dir, &report,
+                   SalvagePolicy::kSalvageTornTail, segment_bytes);
     ASSERT_TRUE(db.ok()) << "crash at op " << c << ": "
                          << db.status().ToString();
     const int recovered = CheckRecoveredPrefix(db->get());
@@ -533,6 +569,184 @@ TEST(StorageFaultTest, CrashMatrixLosesOnlyAnUnackedSuffix) {
     std::filesystem::remove_all(dir);
   }
   std::filesystem::remove_all(probe_dir);
+}
+
+TEST(StorageFaultTest, CrashMatrixLosesOnlyAnUnackedSuffix) {
+  RunCrashMatrix(WalDurableOptions{}.segment_target_bytes,
+                 /*die_mid_write=*/false);
+}
+
+TEST(StorageFaultTest, CrashMatrixCoversSegmentPreparation) {
+  // Small segments rotate every two commits, so the matrix crosses
+  // every step of preparing a segment: the header write, the zero fill,
+  // the sync and the directory sync. A crash at the fill leaves a bare
+  // header, at the sync header plus zeros, at the directory sync a
+  // synced file; dying mid-write leaves a partial header or partial
+  // zeros.
+  FaultyEnv fill_probe(GetPosixEnv());
+  fill_probe.FailAtOp("fill", 0, FaultKind::kCrash);
+  const std::string probe_dir = TestDir("matrix_fill_probe");
+  RunMatrixWorkload(&fill_probe, probe_dir, kSmallSegment);
+  ASSERT_TRUE(fill_probe.crashed()) << "the workload never filled a segment";
+  std::filesystem::remove_all(probe_dir);
+
+  RunCrashMatrix(kSmallSegment, /*die_mid_write=*/false);
+  RunCrashMatrix(kSmallSegment, /*die_mid_write=*/true);
+}
+
+TEST(StorageFaultTest, TornRecordInPreparedSegmentIsSalvaged) {
+  const std::string dir = TestDir("torn_prepared");
+  {
+    FaultyEnv env(GetPosixEnv());
+    RecoveryReport report;
+    auto db = Open(&env, dir, &report, SalvagePolicy::kSalvageTornTail,
+                   kSmallSegment);
+    ASSERT_TRUE(db.ok());
+    ASSERT_TRUE((*db)->Put(0, "a").ok());
+    ASSERT_TRUE((*db)->Put(1, "b").ok());  // fills segment 1: rotation
+    ASSERT_TRUE((*db)->Put(2, "c").ok());  // first record of segment 2
+    ASSERT_EQ((*db)->wal()->SegmentCount(), 2u);
+    // Tear the next record inside the prepared segment, and fail the
+    // rollback so the torn bytes stay on disk between the good record
+    // and the zero tail.
+    env.FailAt(env.op_count(), FaultKind::kTornWrite);
+    env.FailAt(env.op_count() + 1, FaultKind::kEio);
+    EXPECT_TRUE((*db)->Put(3, "torn").IsDataLoss());
+  }
+  ASSERT_EQ(std::filesystem::file_size(NewestSegment(dir)), kSmallSegment);
+  RecoveryReport report;
+  auto db = Open(GetPosixEnv(), dir, &report,
+                 SalvagePolicy::kSalvageTornTail, kSmallSegment);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  EXPECT_TRUE(report.wal.salvaged);
+  EXPECT_GT(report.wal.torn_tail_bytes, 0u);
+  EXPECT_EQ(report.replayed_batches, 3u);
+  EXPECT_EQ(*(*db)->Get(2), "c");
+  EXPECT_EQ(*(*db)->Get(3), "init");
+  ASSERT_TRUE((*db)->Put(3, "after").ok());
+}
+
+TEST(StorageFaultTest, ZeroTailIsTheCleanEndOfAPreparedSegment) {
+  std::string image = EncodeWalSegmentHeader();
+  image += EncodeWalRecord(CommitBatch{1, 1, {{0, "aa"}}});
+  const size_t end = image.size();
+  const std::string record2 = EncodeWalRecord(CommitBatch{2, 2, {{1, "bb"}}});
+  {
+    // Zeros to EOF, shorter or longer than a record header, are the
+    // unwritten rest of the segment.
+    for (size_t zeros : {size_t{5}, size_t{16}, size_t{4000}}) {
+      WalScanResult scan =
+          ScanWalSegment(image + std::string(zeros, '\0'), "t");
+      EXPECT_EQ(scan.tail, WalTailState::kClean) << scan.detail;
+      EXPECT_EQ(scan.batches.size(), 1u);
+      EXPECT_EQ(scan.valid_bytes, end);
+    }
+  }
+  {
+    // A zero header followed by a valid record is not an end: a record
+    // went missing in the middle.
+    WalScanResult scan =
+        ScanWalSegment(image + std::string(16, '\0') + record2, "t");
+    EXPECT_EQ(scan.tail, WalTailState::kCorrupt) << scan.detail;
+    EXPECT_EQ(scan.batches.size(), 1u);
+  }
+  {
+    // A zero header followed by non-zero bytes that hold no valid record
+    // keeps the torn-tail rule.
+    std::string tail(64, '\0');
+    tail[40] = 0x5A;
+    WalScanResult scan = ScanWalSegment(image + tail, "t");
+    EXPECT_EQ(scan.tail, WalTailState::kTorn) << scan.detail;
+    EXPECT_EQ(scan.valid_bytes, end);
+  }
+  {
+    // A prepared segment whose blocks never reached the disk reads as
+    // zeros, magic included: a torn header, salvageable to nothing.
+    WalScanResult scan = ScanWalSegment(std::string(4096, '\0'), "t");
+    EXPECT_EQ(scan.tail, WalTailState::kTorn) << scan.detail;
+    EXPECT_EQ(scan.valid_bytes, 0u);
+  }
+}
+
+TEST(StorageFaultTest, CrashReopenCommitCrashReopenStaysClean) {
+  const std::string dir = TestDir("crash_twice");
+  int next = 0;  // writes key next % kKeys with value "w<next>"
+  auto commit_until_crash = [&](FaultyEnv* env) {
+    RecoveryReport report;
+    auto db = Open(env, dir, &report, SalvagePolicy::kSalvageTornTail,
+                   kSmallSegment);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    EXPECT_FALSE(report.wal.salvaged);
+    // Crash in the middle of the fifth commit from now, which lands
+    // mid-segment: the reopen must resume after its last record, not
+    // after the zero tail.
+    for (int i = 0; i < 4; ++i, ++next) {
+      ASSERT_TRUE((*db)->Put(next % kKeys, "w" + std::to_string(next)).ok());
+    }
+    env->FailAt(env->op_count(), FaultKind::kCrash);
+    EXPECT_FALSE((*db)->Put(next % kKeys, "lost").ok());
+  };
+  for (int round = 0; round < 3; ++round) {
+    FaultyEnv env(GetPosixEnv());
+    commit_until_crash(&env);
+  }
+  RecoveryReport report;
+  auto db = Open(GetPosixEnv(), dir, &report,
+                 SalvagePolicy::kSalvageTornTail, kSmallSegment);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  EXPECT_EQ(report.replayed_batches, static_cast<uint64_t>(next));
+  for (int i = 0; i < next; ++i) {
+    if (i + static_cast<int>(kKeys) < next) continue;  // overwritten later
+    EXPECT_EQ(*(*db)->Get(i % kKeys), "w" + std::to_string(i));
+  }
+}
+
+TEST(StorageFaultTest, PreparedSegmentSizeIsConstantBetweenRotations) {
+  const std::string dir = TestDir("constant_size");
+  constexpr uint64_t kSegment = 4096;
+  RecoveryReport report;
+  auto db = Open(GetPosixEnv(), dir, &report,
+                 SalvagePolicy::kSalvageTornTail, kSegment);
+  ASSERT_TRUE(db.ok());
+  int i = 0;
+  while ((*db)->wal()->SegmentCount() < 2) {
+    ASSERT_TRUE((*db)->Put(i % kKeys, "v" + std::to_string(i)).ok());
+    ++i;
+  }
+  // Segment 2 was prepared at full size; every commit into it writes in
+  // place, so no sync has a size change to journal.
+  const std::string segment = NewestSegment(dir);
+  int commits_in_place = 0;
+  while ((*db)->wal()->SegmentCount() == 2) {
+    EXPECT_EQ(std::filesystem::file_size(segment), kSegment);
+    ASSERT_TRUE((*db)->Put(i % kKeys, "v" + std::to_string(i)).ok());
+    ++i;
+    ++commits_in_place;
+  }
+  EXPECT_GT(commits_in_place, 10);
+}
+
+TEST(StorageFaultTest, FiniteDiskModelChargesPreparedFilesAtFill) {
+  const std::string dir = TestDir("capacity_prepared");
+  FaultyEnv env(GetPosixEnv());
+  env.set_capacity_bytes(4096);
+  auto file = env.NewPreparedFile(dir + "/a.log", "hdr", 3000);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  EXPECT_EQ(env.used_bytes(), 3000u);
+  EXPECT_EQ((*file)->offset(), 3u);
+  // Records written into the prepared space were paid for at the fill.
+  ASSERT_TRUE((*file)->Append(std::string(2000, 'x')).ok());
+  EXPECT_EQ(env.used_bytes(), 3000u);
+  ASSERT_TRUE((*file)->Close().ok());
+  EXPECT_EQ(std::filesystem::file_size(dir + "/a.log"), 3000u);
+  // A second fill does not fit, and fails as disk-full.
+  auto second = env.NewPreparedFile(dir + "/b.log", "hdr", 2000);
+  EXPECT_TRUE(second.status().IsResourceExhausted())
+      << second.status().ToString();
+  ASSERT_TRUE(env.DeleteFile(dir + "/b.log").ok());
+  ASSERT_TRUE(env.DeleteFile(dir + "/a.log").ok());
+  EXPECT_EQ(env.used_bytes(), 0u);
+  EXPECT_TRUE(env.NewPreparedFile(dir + "/c.log", "hdr", 2000).ok());
 }
 
 }  // namespace
