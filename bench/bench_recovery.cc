@@ -70,7 +70,7 @@ RecoveryCell Measure(uint64_t committed_txns, bool with_checkpoint) {
   cell.log_batches = (*log)->size();
   const int64_t begin = NowNanos();
   auto recovered = RecoverDatabase(
-      opts, with_checkpoint ? &checkpoint : nullptr, **log);
+      opts, with_checkpoint ? &checkpoint : nullptr, *(*log)->Batches());
   cell.recover_ms = static_cast<double>(NowNanos() - begin) / 1e6;
   cell.recovered_versions = recovered->store().TotalVersions();
 

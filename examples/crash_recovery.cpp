@@ -84,7 +84,7 @@ int main() {
     return 1;
   }
 
-  auto db = RecoverDatabase(options, &*checkpoint, **log);
+  auto db = RecoverDatabase(options, &*checkpoint, *(*log)->Batches());
   std::cout << "recovered: vtnc=" << db->version_control().vtnc()
             << " versions=" << db->store().TotalVersions() << "\n";
 

@@ -124,11 +124,15 @@ class PosixEnv final : public Env {
     const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
     if (fd < 0) return ErrnoStatus("open", path, errno);
     // Real zeros, not fallocate: an unwritten extent would still cost a
-    // journal commit on its first write.
-    std::string image(std::max<uint64_t>(size, header.size()), '\0');
-    image.replace(0, header.size(), header);
+    // journal commit on its first write. They come from one static block,
+    // so a rotation allocates no segment-sized image.
+    static constexpr char kZeros[64 * 1024] = {};
     uint64_t written = 0;
-    Status s = PwriteAll(fd, path, image, &written);
+    Status s = PwriteAll(fd, path, header, &written);
+    while (s.ok() && written < size) {
+      const uint64_t n = std::min<uint64_t>(size - written, sizeof(kZeros));
+      s = PwriteAll(fd, path, std::string_view(kZeros, n), &written);
+    }
     if (s.ok() && ::fdatasync(fd) != 0) {
       s = ErrnoStatus("fdatasync", path, errno);
     }

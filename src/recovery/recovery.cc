@@ -77,14 +77,6 @@ Checkpoint TakeCheckpoint(Database* db) {
   return out;
 }
 
-std::unique_ptr<Database> RecoverDatabase(DatabaseOptions options,
-                                          const Checkpoint* checkpoint,
-                                          const WriteAheadLog& log) {
-  auto db = std::make_unique<Database>(std::move(options));
-  ReplayInto(db.get(), checkpoint, log.Batches(), nullptr);
-  return db;
-}
-
 std::unique_ptr<Database> RecoverDatabase(
     DatabaseOptions options, const Checkpoint* checkpoint,
     const std::vector<CommitBatch>& batches) {
@@ -140,15 +132,15 @@ Result<std::unique_ptr<Database>> OpenDatabaseDurable(
                             report->checkpoint.detail);
   }
 
+  std::vector<CommitBatch> scanned;
   auto log = WriteAheadLog::OpenDurable(env, dir + "/wal", wal_options,
-                                        &report->wal);
+                                        &report->wal, &scanned);
   if (!log.ok()) return log.status();
 
   options.enable_wal = true;
   auto db = std::make_unique<Database>(std::move(options),
                                        std::move(log).value());
-  report->recovered_tn = ReplayInto(db.get(), checkpoint_ptr,
-                                    db->wal()->Batches(),
+  report->recovered_tn = ReplayInto(db.get(), checkpoint_ptr, scanned,
                                     &report->replayed_batches);
   if (checkpoint_ptr != nullptr) {
     // Re-establish the truncation watermark (it is not persisted on its

@@ -20,22 +20,19 @@ Checkpoint TakeCheckpoint(Database* db);
 
 // Rebuilds a database after a "crash": starts from `options` (preload is
 // applied first, re-creating the initial load T0), overlays the
-// checkpoint if given, replays every logged commit with tn above the
-// checkpoint's vtnc (installing each write with its creator's
+// checkpoint if given, replays every logged commit in `batches` with tn
+// above the checkpoint's vtnc (installing each write with its creator's
 // transaction number, preserving the multiversion order), and restores
 // the version control counters so vtnc = the last durable transaction
 // and future registrations get larger numbers. The recovered database is
 // immediately serviceable: read-only snapshots observe exactly the
 // committed state, and new read-write transactions extend the history.
-std::unique_ptr<Database> RecoverDatabase(DatabaseOptions options,
-                                          const Checkpoint* checkpoint,
-                                          const WriteAheadLog& log);
-
-// Same replay, fed from an explicit batch vector instead of a live log
-// (ascending tn, as BatchesSince would return). This is the promotion
-// path: a replica's retained applied-batch prefix plus its base
-// checkpoint are exactly a (checkpoint, WAL-prefix) pair, so failover
-// reuses the one recovery implementation instead of growing a second.
+//
+// `batches` is a log's content (WriteAheadLog::Batches() of a simulated
+// crash image) or, on promotion, a replica's retained applied-batch
+// prefix: with its base checkpoint that is exactly a (checkpoint,
+// WAL-prefix) pair, so failover reuses the one recovery implementation
+// instead of growing a second.
 std::unique_ptr<Database> RecoverDatabase(
     DatabaseOptions options, const Checkpoint* checkpoint,
     const std::vector<CommitBatch>& batches);
@@ -58,7 +55,8 @@ struct RecoveryReport {
 // generation that CRC-verifies (falling back across generations),
 // scan-verifies the WAL — salvaging a torn tail or fail-stopping on
 // interior corruption per `wal_options.policy` — replays every record
-// above the checkpoint floor, and restores the version-control
+// above the checkpoint floor straight from that scan (each segment is
+// read once; the log keeps no copy), and restores the version-control
 // counters. Handles a fresh directory and a post-crash directory
 // uniformly. The returned database keeps the opened WAL as its live
 // log: commits append durably, and Database::Health() reflects the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
+#include <string_view>
 #include <utility>
 
 #include "common/sim_hook.h"
@@ -61,7 +62,7 @@ WriteAheadLog::~WriteAheadLog() {
 
 Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::OpenDurable(
     Env* env, const std::string& dir, const WalDurableOptions& options,
-    WalOpenReport* report) {
+    WalOpenReport* report, std::vector<CommitBatch>* scanned) {
   WalOpenReport local_report;
   if (report == nullptr) report = &local_report;
   *report = WalOpenReport{};
@@ -119,10 +120,10 @@ Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::OpenDurable(
     TxnNumber seg_max = 0;
     for (CommitBatch& batch : scan.batches) {
       seg_max = std::max(seg_max, batch.tn);
-      log->max_tn_ = std::max(log->max_tn_, batch.tn);
-      log->batches_.push_back(std::move(batch));
-      ++report->records;
+      if (scanned != nullptr) scanned->push_back(std::move(batch));
     }
+    log->max_tn_ = std::max(log->max_tn_, seg_max);
+    report->records += scan.batches.size();
     ++report->segments;
     if (last) {
       log->file_seq_ = segments[i].first;
@@ -130,7 +131,8 @@ Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::OpenDurable(
       log->file_max_tn_ = seg_max;
       tail_end = scan.valid_bytes;
     } else {
-      log->sealed_.push_back({segments[i].first, path, seg_max});
+      log->sealed_.push_back(
+          {segments[i].first, path, seg_max, scan.valid_bytes});
     }
   }
 
@@ -148,6 +150,7 @@ Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::OpenDurable(
                   : env->NewAppendableFile(log->file_path_);
   if (!file.ok()) return file.status();
   log->file_ = std::move(file).value();
+  log->acked_end_ = log->file_->offset();
   return log;
 }
 
@@ -172,11 +175,12 @@ Status WriteAheadLog::RotateLocked() {
   }
   std::unique_ptr<WritableFile> fresh = std::move(created).value();
   file_->Close();
-  sealed_.push_back({file_seq_, file_path_, file_max_tn_});
+  sealed_.push_back({file_seq_, file_path_, file_max_tn_, acked_end_});
   file_ = std::move(fresh);
   file_path_ = path;
   file_seq_ = next;
   file_max_tn_ = 0;
+  acked_end_ = file_->offset();
   return Status::OK();
 }
 
@@ -223,8 +227,10 @@ Status WriteAheadLog::DurableAppendLocked(const std::string& encoded,
     return LatchFailStopLocked(s);
   }
 
+  // The group is acknowledged: readers of the log may now see it.
+  acked_end_ = file_->offset();
   file_max_tn_ = std::max(file_max_tn_, group_max);
-  if (file_->offset() >= dopts_.segment_target_bytes) {
+  if (acked_end_ >= dopts_.segment_target_bytes) {
     // The group is already durable — rotation trouble only affects
     // future appends, so flag it without failing this commit.
     Status rotate = RotateLocked();
@@ -262,49 +268,97 @@ Status WriteAheadLog::AppendGroup(std::vector<CommitBatch> batches) {
     }
   }
   if (keep == 0) return Status::OK();
+  TxnNumber group_max = 0;
+  for (size_t i = 0; i < keep; ++i) {
+    group_max = std::max(group_max, batches[i].tn);
+  }
   std::lock_guard<std::mutex> guard(mu_);
   if (env_ != nullptr) {
     std::string encoded;
-    TxnNumber group_max = 0;
-    for (size_t i = 0; i < keep; ++i) {
-      encoded += EncodeWalRecord(batches[i]);
-      group_max = std::max(group_max, batches[i].tn);
-    }
+    for (size_t i = 0; i < keep; ++i) encoded += EncodeWalRecord(batches[i]);
+    // On error nothing was acknowledged: the pipeline discards the
+    // group's tns, so visibility never passes an unflushed record.
     Status s = DurableAppendLocked(encoded, group_max);
-    // The mirror only ever receives durably-acknowledged records, so
-    // visibility (driven off the mirror by the pipeline) can never
-    // advance past an unflushed record.
     if (!s.ok()) return s;
+  } else {
+    for (size_t i = 0; i < keep; ++i) {
+      batches_.push_back(std::move(batches[i]));
+    }
   }
-  for (size_t i = 0; i < keep; ++i) {
-    max_tn_ = std::max(max_tn_, batches[i].tn);
-    batches_.push_back(std::move(batches[i]));
-  }
+  max_tn_ = std::max(max_tn_, group_max);
   return Status::OK();
 }
 
-std::vector<CommitBatch> WriteAheadLog::Batches() const {
-  std::lock_guard<std::mutex> guard(mu_);
-  return batches_;
+Result<std::vector<CommitBatch>> WriteAheadLog::Batches() const {
+  return Collect(0, /*refuse_gap=*/false);
 }
 
 Result<std::vector<CommitBatch>> WriteAheadLog::BatchesSince(
     TxnNumber after) const {
-  std::lock_guard<std::mutex> guard(mu_);
-  if (after < truncated_up_to_) {
-    return Status::Unavailable(
-        "WAL truncated past tn " + std::to_string(after) + " (watermark " +
-        std::to_string(truncated_up_to_) + "); resync from checkpoint");
+  return Collect(after, /*refuse_gap=*/true);
+}
+
+Result<std::vector<CommitBatch>> WriteAheadLog::Collect(
+    TxnNumber after, bool refuse_gap) const {
+  for (;;) {
+    std::vector<CommitBatch> out;
+    std::vector<SealedSegment> spans;  // what to read, and how far
+    TxnNumber floor = 0;
+    {
+      std::lock_guard<std::mutex> guard(mu_);
+      if (refuse_gap && after < truncated_up_to_) {
+        return Status::Unavailable(
+            "WAL truncated past tn " + std::to_string(after) +
+            " (watermark " + std::to_string(truncated_up_to_) +
+            "); resync from checkpoint");
+      }
+      floor = std::max(after, truncated_up_to_);
+      for (const CommitBatch& batch : batches_) {
+        if (batch.tn > floor) out.push_back(batch);
+      }
+      for (const SealedSegment& seg : sealed_) {
+        if (seg.max_tn > floor) spans.push_back(seg);
+      }
+      if (env_ != nullptr && file_max_tn_ > floor) {
+        spans.push_back({file_seq_, file_path_, file_max_tn_, acked_end_});
+      }
+    }
+    // Sealed segments and the current one's acknowledged prefix never
+    // change, so they are read without mu_. Only a concurrent Truncate()
+    // can touch them, by deleting a segment the watermark now covers:
+    // then start over from the new watermark.
+    bool truncated_under_us = false;
+    for (const SealedSegment& span : spans) {
+      Result<std::string> image = env_->ReadFileToString(span.path);
+      if (!image.ok()) {
+        if (image.status().IsNotFound() && TruncatedUpTo() >= span.max_tn) {
+          truncated_under_us = true;
+          break;
+        }
+        return image.status();
+      }
+      if (image->size() < span.end) {
+        return Status::DataLoss("WAL segment " + span.path +
+                                " is shorter than its acknowledged end");
+      }
+      WalScanResult scan = ScanWalSegment(
+          std::string_view(*image).substr(0, span.end), span.path);
+      if (scan.tail != WalTailState::kClean || scan.valid_bytes != span.end) {
+        return Status::DataLoss("WAL corruption in acknowledged records: " +
+                                (scan.detail.empty() ? span.path
+                                                     : scan.detail));
+      }
+      for (CommitBatch& batch : scan.batches) {
+        if (batch.tn > floor) out.push_back(std::move(batch));
+      }
+    }
+    if (truncated_under_us) continue;
+    std::sort(out.begin(), out.end(),
+              [](const CommitBatch& a, const CommitBatch& b) {
+                return a.tn < b.tn;
+              });
+    return out;
   }
-  std::vector<CommitBatch> out;
-  for (const CommitBatch& batch : batches_) {
-    if (batch.tn > after) out.push_back(batch);
-  }
-  std::sort(out.begin(), out.end(),
-            [](const CommitBatch& a, const CommitBatch& b) {
-              return a.tn < b.tn;
-            });
-  return out;
 }
 
 void WriteAheadLog::Truncate(TxnNumber up_to) {

@@ -33,7 +33,7 @@ struct WalDurableOptions {
 // What OpenDurable found on disk (surfaced through RecoveryReport).
 struct WalOpenReport {
   uint64_t segments = 0;         // segment files scanned
-  uint64_t records = 0;          // valid records loaded
+  uint64_t records = 0;          // valid records scanned
   uint64_t torn_tail_bytes = 0;  // bytes truncated from a torn tail
   bool salvaged = false;         // a torn tail was truncated
   std::string detail;            // diagnosis of any non-clean tail
@@ -42,19 +42,23 @@ struct WalOpenReport {
 // Write-ahead log of committed read-write transactions. Two modes:
 //
 //  - In-memory (default constructor): the append is a simulated
-//    durability point; a "crash" in tests drops the Database and
-//    rebuilds it from this object (see recovery.h).
+//    durability point and the batch vector is the log; a "crash" in
+//    tests drops the Database and rebuilds it from this object (see
+//    recovery.h).
 //
-//  - Durable (OpenDurable): every append is additionally framed with a
-//    CRC32C header (log_format.h), written at the log's end in a segment
-//    file through an Env, and synced before it is acknowledged. Segments
-//    after the first are prepared at rotation (Env::NewPreparedFile:
-//    full size, zero-filled, synced), so a group commit is a write in
-//    place plus an fdatasync that changes no file size. The
-//    in-memory batch vector then acts as the serving mirror for
-//    Batches()/BatchesSince() and only ever contains records that are
-//    durable on disk — so visibility can never advance past an
-//    unflushed record.
+//  - Durable (OpenDurable): the log lives only in its segment files.
+//    Every append is framed with a CRC32C header (log_format.h), written
+//    at the log's end in a segment file through an Env, and synced
+//    before it is acknowledged; no batch stays in memory after its
+//    append returns. Segments after the first are prepared at rotation
+//    (Env::NewPreparedFile: full size, zero-filled, synced), so a group
+//    commit is a write in place plus an fdatasync that changes no file
+//    size. Batches()/BatchesSince() read the segments back, and only up
+//    to the acknowledged end: the current segment's offset after the
+//    last group whose sync succeeded. A group whose sync failed may
+//    still sit in the file (or the page cache) past that end, so no
+//    reader of the log — replication tail, replay — ever sees a record
+//    that was not acknowledged.
 //
 // Failure policy in durable mode (ISSUE 4 / fsyncgate):
 //
@@ -77,8 +81,11 @@ class WriteAheadLog {
   WriteAheadLog& operator=(const WriteAheadLog&) = delete;
 
   // Opens (or creates) a durable log in `dir`, scan-verifying every
-  // record of every segment. Appending resumes at the last valid record
-  // of the last segment (its zero tail, if prepared, is truncated away).
+  // record of every segment, each read once. The valid records go to
+  // `*scanned` in append order (the recovery replay's input; null drops
+  // them) and are not kept by the log. Appending resumes at the last
+  // valid record of the last segment (its zero tail, if prepared, is
+  // truncated away).
   //  - invalid record at the tail of the last segment = torn write:
   //    truncated and salvaged under kSalvageTornTail (reported), error
   //    under kStrict;
@@ -86,7 +93,7 @@ class WriteAheadLog {
   //    interior corruption: always kDataLoss with diagnostics.
   static Result<std::unique_ptr<WriteAheadLog>> OpenDurable(
       Env* env, const std::string& dir, const WalDurableOptions& options,
-      WalOpenReport* report);
+      WalOpenReport* report, std::vector<CommitBatch>* scanned = nullptr);
 
   // Appends one committed transaction atomically. In durable mode the
   // record is on disk (fsynced) when this returns OK; on error the
@@ -102,8 +109,10 @@ class WriteAheadLog {
   // land inside a group and lose exactly a suffix of it.
   Status AppendGroup(std::vector<CommitBatch> batches);
 
-  // Snapshot of all batches currently in the log (mirror).
-  std::vector<CommitBatch> Batches() const;
+  // Every batch in the log above the truncation watermark, sorted by
+  // ascending tn. Durable mode reads the segment files (see the class
+  // comment) and returns read and CRC errors as errors.
+  Result<std::vector<CommitBatch>> Batches() const;
 
   // Incremental tail for replication: all batches with tn > `after`,
   // sorted by ascending tn (appends may arrive out of tn order under
@@ -111,6 +120,9 @@ class WriteAheadLog {
   // the truncation watermark — batches in (after, watermark] may have
   // existed and been dropped under a checkpoint, so the caller MUST
   // resync from that checkpoint instead of silently skipping the gap.
+  // Durable mode reads as Batches() does, skipping sealed segments that
+  // hold no tn above `after`, and without holding the log's lock while
+  // it reads, so tailing never stalls a commit.
   Result<std::vector<CommitBatch>> BatchesSince(TxnNumber after) const;
 
   // Drops batches with tn <= `up_to` (they are covered by a checkpoint)
@@ -124,6 +136,8 @@ class WriteAheadLog {
   // Tailing below this point is refused by BatchesSince.
   TxnNumber TruncatedUpTo() const;
 
+  // Batches held in memory: the in-memory log's length. Always 0 for a
+  // durable log, whose records live only in its segment files.
   size_t size() const;
 
   // Largest tn appended so far (0 if empty since truncation never drops
@@ -139,7 +153,7 @@ class WriteAheadLog {
   // Number of on-disk segment files (0 in in-memory mode).
   uint64_t SegmentCount() const;
 
-  // ---- serialization (simulated disk image, in-memory mode) ----
+  // ---- serialization (simulated disk image, in-memory mode only) ----
 
   // Length-prefixed binary encoding of the whole log.
   std::string Serialize() const;
@@ -161,7 +175,14 @@ class WriteAheadLog {
     uint64_t seq = 0;
     std::string path;
     TxnNumber max_tn = 0;  // 0 = empty segment, deletable any time
+    uint64_t end = 0;      // end of its acknowledged records
   };
+
+  // Batches()/BatchesSince(): the batches with tn > max(after,
+  // watermark), ascending; kUnavailable if `refuse_gap` and `after` is
+  // below the watermark.
+  Result<std::vector<CommitBatch>> Collect(TxnNumber after,
+                                           bool refuse_gap) const;
 
   // Durable write of pre-encoded records + fsync, with the rollback /
   // latching policy above. Caller holds mu_.
@@ -172,7 +193,7 @@ class WriteAheadLog {
   Status LatchFailStopLocked(const Status& cause);
 
   mutable std::mutex mu_;
-  std::vector<CommitBatch> batches_;
+  std::vector<CommitBatch> batches_;  // the log itself, in-memory mode only
   TxnNumber max_tn_ = 0;
   TxnNumber truncated_up_to_ = 0;
   std::atomic<bool> crashed_{false};
@@ -185,6 +206,9 @@ class WriteAheadLog {
   std::string file_path_;
   uint64_t file_seq_ = 0;
   TxnNumber file_max_tn_ = 0;  // max tn in the current segment
+  // End of the current segment's last acknowledged group: advanced only
+  // once a group's sync succeeded, so the bytes below it never change.
+  uint64_t acked_end_ = 0;
   std::vector<SealedSegment> sealed_;
   bool failed_ = false;  // permanent fail-stop (fsyncgate)
   std::string failed_reason_;

@@ -102,13 +102,19 @@ void CheckVcQuiesced(VersionControl& vc, TxnNumber max_committed_tn,
 void CheckCrashRecovery(const ExploreOptions& options,
                         const DatabaseOptions& dopt, WriteAheadLog* wal,
                         SimScheduler* sched) {
+  Result<std::vector<CommitBatch>> batches = wal->Batches();
+  if (!batches.ok()) {
+    sched->AddViolation("crash recovery: log unreadable: " +
+                        batches.status().ToString());
+    return;
+  }
   std::unique_ptr<Database> recovered =
-      RecoverDatabase(dopt, /*checkpoint=*/nullptr, *wal);
+      RecoverDatabase(dopt, /*checkpoint=*/nullptr, *batches);
 
   // Expected post-recovery image: per key, the write of the largest
   // durable tn (versions install in tn order), else the preload value.
   std::map<ObjectKey, std::pair<TxnNumber, Value>> expected;
-  for (const CommitBatch& batch : wal->Batches()) {
+  for (const CommitBatch& batch : *batches) {
     for (const LoggedWrite& w : batch.writes) {
       auto& slot = expected[w.key];
       if (batch.tn >= slot.first) slot = {batch.tn, w.value};

@@ -14,6 +14,7 @@
 #include "common/random.h"
 #include "dist/distributed_db.h"
 #include "recovery/faulty_env.h"
+#include "recovery/log_format.h"
 #include "recovery/recovery.h"
 #include "history/serializability.h"
 #include "sim/sim_scheduler.h"
@@ -182,7 +183,7 @@ TEST(FaultPropertyTest, WalSurvivesHighAbortWorkload) {
 
   auto log = WriteAheadLog::Deserialize(db.wal()->Serialize());
   ASSERT_TRUE(log.ok());
-  auto recovered = RecoverDatabase(opts, nullptr, **log);
+  auto recovered = RecoverDatabase(opts, nullptr, *(*log)->Batches());
   auto post = recovered->Begin(TxnClass::kReadOnly);
   auto actual = post->Scan(0, 7);
   post->Commit();
@@ -200,6 +201,15 @@ TEST(FaultPropertyTest, WalSurvivesHighAbortWorkload) {
 
 constexpr int kEnvSweepTxns = 6;
 constexpr uint64_t kEnvSweepKeys = 2 * kEnvSweepTxns;
+
+// Two of the sweep's ~76-byte records fill a segment, so the workload
+// rotates and every crash point also lands in segment preparation and
+// in a replay that spans several segments.
+WalDurableOptions EnvSweepWalOpts() {
+  WalDurableOptions options;
+  options.segment_target_bytes = 160;
+  return options;
+}
 
 DatabaseOptions EnvSweepOpts() {
   DatabaseOptions opts;
@@ -222,8 +232,8 @@ std::string EnvSweepDir(const std::string& tag) {
 // point — that is the point.
 int RunEnvSweepWorkload(Env* env, const std::string& dir) {
   RecoveryReport report;
-  auto db = OpenDatabaseDurable(EnvSweepOpts(), env, dir,
-                                WalDurableOptions{}, &report);
+  auto db = OpenDatabaseDurable(EnvSweepOpts(), env, dir, EnvSweepWalOpts(),
+                                &report);
   if (!db.ok()) return 0;
   int acked = 0;
   for (int i = 0; i < kEnvSweepTxns; ++i) {
@@ -246,6 +256,14 @@ TEST(FaultPropertyTest, EnvCrashSweepPreservesDurabilityOracle) {
   ASSERT_EQ(RunEnvSweepWorkload(&probe, probe_dir), kEnvSweepTxns);
   const uint64_t total_ops = probe.op_count();
   ASSERT_GT(total_ops, 0u);
+  int segments = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(probe_dir + "/wal")) {
+    if (ParseWalSegmentFileName(entry.path().filename().string()) != 0) {
+      ++segments;
+    }
+  }
+  ASSERT_GE(segments, 3) << "the sweep's workload no longer rotates";
   std::filesystem::remove_all(probe_dir);
 
   for (uint64_t c = 0; c < total_ops; ++c) {
@@ -265,7 +283,7 @@ TEST(FaultPropertyTest, EnvCrashSweepPreservesDurabilityOracle) {
     // "Restart the process": recover from the directory as written.
     RecoveryReport report;
     auto db = OpenDatabaseDurable(EnvSweepOpts(), GetPosixEnv(), dir,
-                                  WalDurableOptions{}, &report);
+                                  EnvSweepWalOpts(), &report);
     ASSERT_TRUE(db.ok()) << "crash at env op " << c << ": "
                          << db.status().ToString();
     bool in_prefix = true;

@@ -38,9 +38,10 @@ TEST(WalTest, AppendAndSnapshot) {
   EXPECT_EQ(log.size(), 2u);
   EXPECT_EQ(log.MaxTn(), 7u);
   auto batches = log.Batches();
-  ASSERT_EQ(batches.size(), 2u);
-  EXPECT_EQ(batches[1].writes.size(), 2u);
-  EXPECT_EQ(batches[1].writes[0].value, "y");
+  ASSERT_TRUE(batches.ok());
+  ASSERT_EQ(batches->size(), 2u);
+  EXPECT_EQ((*batches)[1].writes.size(), 2u);
+  EXPECT_EQ((*batches)[1].writes[0].value, "y");
 }
 
 TEST(WalTest, TruncateDropsCoveredBatches) {
@@ -49,7 +50,7 @@ TEST(WalTest, TruncateDropsCoveredBatches) {
   log.Append(CommitBatch{2, 7, {{4, "y"}}});
   log.Truncate(5);
   EXPECT_EQ(log.size(), 1u);
-  EXPECT_EQ(log.Batches()[0].tn, 7u);
+  EXPECT_EQ((*log.Batches())[0].tn, 7u);
 }
 
 TEST(WalTest, SerializeRoundTrip) {
@@ -61,9 +62,10 @@ TEST(WalTest, SerializeRoundTrip) {
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ((*restored)->size(), 2u);
   auto batches = (*restored)->Batches();
-  EXPECT_EQ(batches[0].writes[0].value, "hello");
-  EXPECT_EQ(batches[0].writes[1].value, "");
-  EXPECT_EQ(batches[1].tn, 7u);
+  ASSERT_TRUE(batches.ok());
+  EXPECT_EQ((*batches)[0].writes[0].value, "hello");
+  EXPECT_EQ((*batches)[0].writes[1].value, "");
+  EXPECT_EQ((*batches)[1].tn, 7u);
 }
 
 TEST(WalTest, DeserializeRejectsCorruptImages) {
@@ -107,7 +109,7 @@ TEST(RecoveryTest, DatabaseLogsCommittedWritesOnly) {
   doomed->Abort();
   ASSERT_NE(db.wal(), nullptr);
   EXPECT_EQ(db.wal()->size(), 1u);
-  EXPECT_EQ(db.wal()->Batches()[0].writes[0].value, "committed");
+  EXPECT_EQ((*db.wal()->Batches())[0].writes[0].value, "committed");
 }
 
 TEST(RecoveryTest, ReplayRestoresCommittedState) {
@@ -123,7 +125,8 @@ TEST(RecoveryTest, ReplayRestoresCommittedState) {
   }
   auto log = WriteAheadLog::Deserialize(wal_image);
   ASSERT_TRUE(log.ok());
-  auto recovered = RecoverDatabase(opts, /*checkpoint=*/nullptr, **log);
+  auto recovered =
+      RecoverDatabase(opts, /*checkpoint=*/nullptr, *(*log)->Batches());
   EXPECT_EQ(*recovered->Get(1), "one-v2");
   EXPECT_EQ(*recovered->Get(2), "two");
   EXPECT_EQ(*recovered->Get(3), "init");  // untouched preloaded key
@@ -142,7 +145,7 @@ TEST(RecoveryTest, RecoveredCountersContinueTheSerialOrder) {
     wal_image = db.wal()->Serialize();
   }
   auto log = WriteAheadLog::Deserialize(wal_image);
-  auto recovered = RecoverDatabase(opts, nullptr, **log);
+  auto recovered = RecoverDatabase(opts, nullptr, *(*log)->Batches());
   EXPECT_EQ(recovered->version_control().vtnc(), last_tn);
   // A new transaction extends the order.
   auto txn = recovered->Begin(TxnClass::kReadWrite);
@@ -168,7 +171,8 @@ TEST(RecoveryTest, CheckpointPlusTruncatedLog) {
   auto log = WriteAheadLog::Deserialize(db.wal()->Serialize());
   auto restored_ck = Checkpoint::Deserialize(ck.Serialize());
   ASSERT_TRUE(restored_ck.ok());
-  auto recovered = RecoverDatabase(opts, &*restored_ck, **log);
+  auto recovered =
+      RecoverDatabase(opts, &*restored_ck, *(*log)->Batches());
   EXPECT_EQ(*recovered->Get(1), "post-ck");
   EXPECT_EQ(*recovered->Get(2), "pre-ck");
   EXPECT_EQ(recovered->version_control().vtnc(),
@@ -182,7 +186,7 @@ TEST(RecoveryTest, UntruncatedLogWithCheckpointDoesNotDuplicate) {
   Checkpoint ck = TakeCheckpoint(&db);
   // No truncation: batches at or below ck.vtnc must be skipped on replay.
   auto log = WriteAheadLog::Deserialize(db.wal()->Serialize());
-  auto recovered = RecoverDatabase(opts, &ck, **log);
+  auto recovered = RecoverDatabase(opts, &ck, *(*log)->Batches());
   EXPECT_EQ(*recovered->Get(1), "a");
   // init (preload) + checkpointed version only — no duplicate installs.
   EXPECT_EQ(recovered->store().Find(1)->size(), 2u);
@@ -241,7 +245,7 @@ TEST(FileIoTest, RoundTripWalImageThroughDisk) {
   auto restored = WriteAheadLog::Deserialize(*image);
   ASSERT_TRUE(restored.ok());
   EXPECT_EQ((*restored)->size(), 1u);
-  EXPECT_EQ((*restored)->Batches()[0].writes[0].value, "disk");
+  EXPECT_EQ((*(*restored)->Batches())[0].writes[0].value, "disk");
   std::remove(path.c_str());
 }
 
@@ -312,7 +316,7 @@ TEST_P(RecoveryProtocolSweep, CrashRecoveryUnderConcurrentWorkload) {
   }
   auto log = WriteAheadLog::Deserialize(wal_image);
   ASSERT_TRUE(log.ok());
-  auto recovered = RecoverDatabase(opts, nullptr, **log);
+  auto recovered = RecoverDatabase(opts, nullptr, *(*log)->Batches());
   auto reader = recovered->Begin(TxnClass::kReadOnly);
   auto scan = reader->Scan(0, 63);
   ASSERT_TRUE(scan.ok());

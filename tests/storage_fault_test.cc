@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -19,6 +20,9 @@
 #include "recovery/log_format.h"
 #include "recovery/recovery.h"
 #include "recovery/wal.h"
+#include "read_hook_env.h"
+#include "repl/replica.h"
+#include "repl/replication_stream.h"
 #include "txn/database.h"
 
 namespace mvcc {
@@ -141,6 +145,126 @@ TEST(StorageFaultTest, FailedFsyncIsNeverRetried) {
   // Permanently: even with no further faults armed, the latch holds.
   env.ClearFaults();
   EXPECT_TRUE((*db)->Put(2, "still-doomed").IsDataLoss());
+}
+
+std::string ReadWholeFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+TEST(StorageFaultTest, FailedGroupNeverReachesATailOrAReplay) {
+  // A group whose fsync failed was written: its bytes sit in the
+  // segment file (and the page cache). The log must still never hand it
+  // to a reader — not to BatchesSince/Batches, not to a replica through
+  // the replication stream, not to a replay built from Batches().
+  const std::string dir = TestDir("failed_group_tail");
+  FaultyEnv env(GetPosixEnv());
+  RecoveryReport report;
+  auto db = Open(&env, dir, &report);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+
+  SimulatedNetwork network;
+  repl::Replica replica(0, &network, /*history=*/nullptr);
+  repl::ReplicationStream stream(db->get(), &network, {&replica});
+  auto converge = [&] {
+    for (int i = 0; i < 50 && !stream.CaughtUp(); ++i) {
+      stream.PumpOnce();
+      replica.ApplyOnce();
+    }
+  };
+  converge();  // bootstrap seeds the replica at vtnc 0
+  ASSERT_TRUE((*db)->Put(1, "acked-1").ok());
+  ASSERT_TRUE((*db)->Put(2, "acked-2").ok());
+  converge();
+  ASSERT_TRUE(stream.CaughtUp());
+  ASSERT_EQ(replica.batches_applied(), 2u);
+
+  // A read-write transaction that writes nothing commits without a log
+  // append, so it still completes after the failure and carries vtnc —
+  // the replicas' horizon — past the discarded tn.
+  auto no_writes = (*db)->Begin(TxnClass::kReadWrite);
+  ASSERT_TRUE(no_writes->Read(5).ok());
+  env.FailAt(env.op_count() + 1, FaultKind::kEio);  // append, then sync
+  EXPECT_TRUE((*db)->Put(3, "unflushed").IsDataLoss());
+  EXPECT_TRUE((*db)->Health().IsDataLoss());
+  ASSERT_TRUE(no_writes->Commit().ok());
+  ASSERT_EQ((*db)->version_control().vtnc(), 4u);
+  // The premise: the discarded record's bytes are in the file.
+  ASSERT_NE(ReadWholeFile(NewestSegment(dir)).find("unflushed"),
+            std::string::npos);
+
+  WriteAheadLog* wal = (*db)->wal();
+  for (auto batches : {wal->BatchesSince(0), wal->Batches()}) {
+    ASSERT_TRUE(batches.ok()) << batches.status().ToString();
+    ASSERT_EQ(batches->size(), 2u);
+    EXPECT_EQ((*batches)[0].writes[0].value, "acked-1");
+    EXPECT_EQ((*batches)[1].writes[0].value, "acked-2");
+  }
+  auto replayed = RecoverDatabase(DurableOpts(), nullptr, *wal->Batches());
+  EXPECT_EQ(*replayed->Get(1), "acked-1");
+  EXPECT_EQ(*replayed->Get(2), "acked-2");
+  EXPECT_EQ(*replayed->Get(3), "init");
+
+  for (int i = 0; i < 20; ++i) {
+    stream.PumpOnce();
+    replica.ApplyOnce();
+  }
+  EXPECT_EQ(replica.batches_applied(), 2u);
+  const TxnNumber horizon = replica.Horizon();
+  EXPECT_EQ(replica.SnapshotRead(horizon, 2)->value, "acked-2");
+  EXPECT_EQ(replica.SnapshotRead(horizon, 3)->value, "init");
+  db->reset();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(StorageFaultTest, DurableOpenReadsEachSegmentOnceAndKeepsNoBatch) {
+  const std::string dir = TestDir("read_once");
+  RecoveryReport report;
+  {
+    auto db = Open(GetPosixEnv(), dir, &report, SalvagePolicy::kStrict,
+                   kSmallSegment);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    for (int i = 0; i < 8; ++i) {
+      ASSERT_TRUE((*db)->Put(i, "v" + std::to_string(i)).ok());
+      // Acknowledged means on disk, not in memory.
+      EXPECT_EQ((*db)->wal()->size(), 0u);
+    }
+    ASSERT_GT((*db)->wal()->SegmentCount(), 2u);
+  }
+  ReadHookEnv env;
+  auto db = Open(&env, dir, &report, SalvagePolicy::kStrict, kSmallSegment);
+  ASSERT_TRUE(db.ok()) << db.status().ToString();
+  EXPECT_EQ(report.replayed_batches, 8u);
+  EXPECT_EQ((*db)->wal()->size(), 0u);
+  int segment_reads = 0;
+  for (const auto& [path, reads] : env.reads) {
+    if (path.find("/wal/") == std::string::npos) continue;
+    EXPECT_EQ(reads, 1) << path;
+    ++segment_reads;
+  }
+  EXPECT_EQ(static_cast<uint64_t>(segment_reads), report.wal.segments);
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_EQ(*(*db)->Get(i), "v" + std::to_string(i));
+  }
+  db->reset();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(StorageFaultTest, PosixPreparedFileIsHeaderThenZeros) {
+  // Larger than the zero block and not a multiple of it, so the fill
+  // loop runs several times and ends on a partial block.
+  const std::string dir = TestDir("posix_prepared");
+  const std::string path = dir + "/p.log";
+  constexpr uint64_t kSize = 150001;
+  auto file = GetPosixEnv()->NewPreparedFile(path, "HEADER", kSize);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  EXPECT_EQ((*file)->offset(), 6u);
+  ASSERT_TRUE((*file)->Close().ok());
+  const std::string image = ReadWholeFile(path);
+  ASSERT_EQ(image.size(), kSize);
+  EXPECT_EQ(image.substr(0, 6), "HEADER");
+  EXPECT_EQ(image.find_first_not_of('\0', 6), std::string::npos);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(StorageFaultTest, EnospcDegradedModeRecoversAfterTruncation) {

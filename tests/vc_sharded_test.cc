@@ -549,7 +549,9 @@ TEST(VcSharded, PipelineGroupCommitDurableBeforeVisible) {
   // below vtnc has its batch in the log, exactly once.
   const TxnNumber vtnc = db.version_control().vtnc();
   std::vector<uint64_t> seen;
-  for (const CommitBatch& b : db.wal()->Batches()) {
+  auto logged = db.wal()->Batches();
+  ASSERT_TRUE(logged.ok());
+  for (const CommitBatch& b : *logged) {
     EXPECT_LE(b.tn, vtnc);
     seen.push_back(b.tn);
   }
@@ -578,7 +580,7 @@ TEST(VcSharded, EveryVcProtocolLogsThroughThePipeline) {
     EXPECT_GT(committed, 0u) << ProtocolKindName(protocol);
     EXPECT_EQ(db.commit_pipeline().batches_logged(), committed)
         << ProtocolKindName(protocol);
-    EXPECT_EQ(db.wal()->Batches().size(), committed)
+    EXPECT_EQ(db.wal()->Batches()->size(), committed)
         << ProtocolKindName(protocol);
   }
 }
