@@ -47,11 +47,13 @@ namespace {
 // state stays trivially destructible.
 struct SlotReleaser {
   ~SlotReleaser() {
-    epoch_detail::EpochTls& ts = epoch_detail::g_epoch_tls;
-    if (ts.slot != nullptr) {
-      ts.slot->epoch.store(EpochManager::kIdle, std::memory_order_release);
-      ts.slot->owned.store(false, std::memory_order_release);
-      ts.slot = nullptr;
+    // Named directly, not through a reference (see Pin in epoch.h).
+    using epoch_detail::g_epoch_tls;
+    if (g_epoch_tls.slot != nullptr) {
+      g_epoch_tls.slot->epoch.store(EpochManager::kIdle,
+                                    std::memory_order_release);
+      g_epoch_tls.slot->owned.store(false, std::memory_order_release);
+      g_epoch_tls.slot = nullptr;
     }
   }
 };
@@ -142,10 +144,9 @@ size_t EpochManager::Advance() {
     }
     CollectExpiredLocked(e, &expired);
   }
-  // Deleters run OUTSIDE retire_mu_: slab recycling re-enters arena
-  // latches and a deleter is free to call Retire (which takes this
-  // mutex) — and a slow destructor must not stall every concurrent
-  // retirer behind the lock.
+  // Deleters run OUTSIDE retire_mu_: a deleter is free to call Retire
+  // (which takes this mutex) — and a slow destructor must not stall
+  // every concurrent retirer behind the lock.
   for (const Retired& r : expired) r.deleter(r.ptr);
   total_freed_.fetch_add(expired.size(), std::memory_order_relaxed);
   // Deliberately NOT hashing the absolute epoch: the manager is

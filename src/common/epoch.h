@@ -99,6 +99,16 @@ class EpochManager {
     return global_epoch_.load(std::memory_order_acquire);
   }
 
+  // The tag for memory the caller has just unlinked and will recycle
+  // itself instead of Retire()ing it: reusable once global_epoch() >=
+  // tag + 2. The fence orders the unlink before the epoch load (Retire
+  // gets the same ordering from its mutex), so a reader that pins a
+  // later epoch can no longer reach the memory.
+  uint64_t UnlinkEpoch() const {
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    return global_epoch_.load(std::memory_order_seq_cst);
+  }
+
   // Objects retired but not yet freed (tests, GC accounting).
   size_t retired_count() const {
     return retired_count_.load(std::memory_order_relaxed);
@@ -175,10 +185,18 @@ extern thread_local constinit EpochTls g_epoch_tls;
 
 }  // namespace epoch_detail
 
+// Pin and Unpin name the thread-local object directly instead of
+// binding a reference to it. Through a reference, -fsanitize=null checks
+// the TLS address for null after `add x@gottpoff(%rip), %reg`, and the
+// linker relaxes that add into a flag-less `lea`: the check then
+// branched on stale flags and reported "member access within null
+// pointer of type 'struct EpochTls'" for a valid address. A named
+// object is never null, so no check is emitted at all; the unsanitized
+// code is the same either way.
 inline uint64_t EpochManager::Pin() {
-  epoch_detail::EpochTls& ts = epoch_detail::g_epoch_tls;
-  if (ts.depth++ > 0) return ts.pinned_epoch;
-  if (ts.slot == nullptr) ts.slot = AcquireSlot();
+  using epoch_detail::g_epoch_tls;
+  if (g_epoch_tls.depth++ > 0) return g_epoch_tls.pinned_epoch;
+  if (g_epoch_tls.slot == nullptr) g_epoch_tls.slot = AcquireSlot();
   // Publish the epoch we observe, then re-check: if the global advanced
   // between the load and the store we re-publish the newer value. The
   // loop settles within two rounds — once our slot shows epoch e, the
@@ -204,24 +222,24 @@ inline uint64_t EpochManager::Pin() {
   // with the fence in Advance, and re-validates the published epoch so
   // its slot never lags more than one advance.
   uint64_t e = global_epoch_.load(std::memory_order_seq_cst);
-  ts.slot->epoch.store(e, std::memory_order_release);
+  g_epoch_tls.slot->epoch.store(e, std::memory_order_release);
   if (reader_fence_needed_) {
     while (true) {
       std::atomic_thread_fence(std::memory_order_seq_cst);
       const uint64_t now = global_epoch_.load(std::memory_order_seq_cst);
       if (now == e) break;
       e = now;
-      ts.slot->epoch.store(e, std::memory_order_release);
+      g_epoch_tls.slot->epoch.store(e, std::memory_order_release);
     }
   }
-  ts.pinned_epoch = e;
+  g_epoch_tls.pinned_epoch = e;
   return e;
 }
 
 inline void EpochManager::Unpin() {
-  epoch_detail::EpochTls& ts = epoch_detail::g_epoch_tls;
-  if (--ts.depth == 0) {
-    ts.slot->epoch.store(kIdle, std::memory_order_release);
+  using epoch_detail::g_epoch_tls;
+  if (--g_epoch_tls.depth == 0) {
+    g_epoch_tls.slot->epoch.store(kIdle, std::memory_order_release);
   }
 }
 

@@ -40,12 +40,9 @@ size_t GarbageCollector::RunOnce() {
   // straddles the previous one).
   size_t freed = EpochManager::Global().Advance();
   freed += EpochManager::Global().Advance();
+  // The same advances end the grace period of the arena blocks this
+  // pass released, so the shards' next allocations reuse them.
   ebr_freed_.fetch_add(freed, std::memory_order_relaxed);
-  // Those advances are also what returns dead arena slabs to their
-  // shards' free lists (slab recycling is just another EBR deleter);
-  // snapshot the store-wide cumulative count for reporting.
-  arena_slabs_freed_.store(store_->ArenaStats().slabs_freed,
-                           std::memory_order_relaxed);
   total_reclaimed_.fetch_add(reclaimed, std::memory_order_relaxed);
   passes_.fetch_add(1, std::memory_order_relaxed);
   return reclaimed;

@@ -68,14 +68,6 @@ class GarbageCollector {
     return ebr_freed_.load(std::memory_order_relaxed);
   }
 
-  // Arena slabs whose grace period had elapsed and that had been
-  // recycled back to their shard's free list as of the latest pass —
-  // the slab-batched analogue of ebr_freed (one slab covers every
-  // version array and payload carved from it).
-  uint64_t arena_slabs_freed() const {
-    return arena_slabs_freed_.load(std::memory_order_relaxed);
-  }
-
  private:
   void Loop(std::chrono::milliseconds interval);
 
@@ -91,7 +83,6 @@ class GarbageCollector {
   std::atomic<uint64_t> passes_{0};
   std::atomic<uint64_t> floor_refreshes_{0};
   std::atomic<uint64_t> ebr_freed_{0};
-  std::atomic<uint64_t> arena_slabs_freed_{0};
 };
 
 }  // namespace mvcc

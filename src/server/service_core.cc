@@ -806,6 +806,14 @@ Response ServiceCore::DoStats(const Request& req) {
                               mark - floor);
     }
   }
+  // Where the version memory sits: slab bytes held, blocks in use, in
+  // their reclamation grace period, and free for reuse. Resident that
+  // keeps climbing under a steady workload is a leak in the making.
+  const VersionArena::Stats arena = db->store().ArenaStats();
+  resp.stats.emplace_back("arena_resident_bytes", arena.resident_bytes);
+  resp.stats.emplace_back("arena_live_bytes", arena.live_bytes);
+  resp.stats.emplace_back("arena_pending_bytes", arena.pending_bytes);
+  resp.stats.emplace_back("arena_free_bytes", arena.free_bytes);
   resp.stats.emplace_back("pipeline_batches_logged",
                           db->commit_pipeline().batches_logged());
   resp.stats.emplace_back("pipeline_groups_flushed",

@@ -484,9 +484,9 @@ SimReport ExploreOnce(const ExploreOptions& options) {
     sched.Spawn("gc", /*expect_wait_free=*/false, [&] {
       // One reclamation pass per turn until the writers quiesce, then a
       // final pass over whatever they left behind. RunOnce never yields
-      // internally (its SimObserve points — chain.republish,
-      // arena.retire_slab, ebr.advance — are observe-only), so each
-      // pass is one atomic step in the explored interleaving.
+      // internally (its SimObserve points — chain.republish and
+      // ebr.advance — are observe-only), so each pass is one atomic
+      // step in the explored interleaving.
       while (writers_done.load(std::memory_order_acquire) <
              options.writer_tasks) {
         db.gc()->RunOnce();

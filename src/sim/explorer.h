@@ -60,12 +60,13 @@ struct ExploreOptions {
   bool enable_wal = false;
 
   // Adds a task that drives GarbageCollector::RunOnce between schedule
-  // points while writers run, so prune-in-place, array republish, slab
-  // retirement, and epoch advance interleave with installs and
-  // latch-free reads inside the explored schedule space (all of them
-  // feed the schedule hash through their SimObserve points). Without
-  // it reclamation only happens implicitly, at retire-threshold
-  // crossings.
+  // points while writers run, so prune-in-place, array republish, arena
+  // block release, and epoch advance interleave with installs and
+  // latch-free reads inside the explored schedule space (republishes
+  // and advances feed the schedule hash through their SimObserve
+  // points). It also turns on GC, and with it inline pruning at
+  // commit; without it reclamation only happens implicitly, at
+  // retire-threshold and release-count crossings.
   bool gc_task = false;
 
   // Shard count of the sharded visibility core (0 = core default). Every

@@ -23,7 +23,8 @@ ObjectStore::ObjectStore(size_t num_shards)
   for (Shard& shard : shards_) {
     shard.table.store(Table::Make(kInitialTableCapacity),
                       std::memory_order_relaxed);
-    shard.arena = VersionArena::Create();
+    shard.arena =
+        VersionArena::Create(VersionArena::kDefaultSlabBytes, &releases_);
   }
 }
 
@@ -50,8 +51,7 @@ ObjectStore::~ObjectStore() {
   // live table (retired generations are non-owning and freed by the
   // epoch manager). No reader may hold the store here. Chains release
   // their arrays/payloads back to the shard arena in their destructors,
-  // so the arena closes last; slabs still parked in the epoch manager
-  // keep it alive until their grace periods elapse.
+  // so the arena closes last.
   for (Shard& shard : shards_) {
     Table* table = shard.table.load(std::memory_order_relaxed);
     for (size_t i = 0; i < table->capacity; ++i) {
@@ -204,13 +204,27 @@ VersionArena::Stats ObjectStore::ArenaStats() const {
     const VersionArena::Stats s = shard.arena->GetStats();
     total.allocs += s.allocs;
     total.bytes_carved += s.bytes_carved;
+    total.blocks_reused += s.blocks_reused;
     total.slabs_allocated += s.slabs_allocated;
-    total.slabs_recycled += s.slabs_recycled;
-    total.slabs_retired += s.slabs_retired;
-    total.slabs_freed += s.slabs_freed;
     total.large_allocs += s.large_allocs;
+    total.resident_bytes += s.resident_bytes;
+    total.live_bytes += s.live_bytes;
+    total.pending_bytes += s.pending_bytes;
+    total.free_bytes += s.free_bytes;
   }
   return total;
+}
+
+void ObjectStore::MaybeAdvanceEpoch() {
+  uint64_t due = next_advance_at_.load(std::memory_order_relaxed);
+  const uint64_t released = releases_.load(std::memory_order_relaxed);
+  if (released < due) return;
+  // One committer per threshold crossing advances; the rest move on.
+  if (!next_advance_at_.compare_exchange_strong(
+          due, released + kReleasesPerAdvance, std::memory_order_relaxed)) {
+    return;
+  }
+  EpochManager::Global().Advance();
 }
 
 size_t ObjectStore::NumKeys() const {

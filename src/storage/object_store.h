@@ -71,9 +71,18 @@ class ObjectStore {
   // Number of distinct keys.
   size_t NumKeys() const;
 
-  // Aggregated slab-arena statistics across all shards (bench and GC
-  // reporting: allocation rate, slab recycling, EBR retire batching).
+  // Aggregated arena statistics across all shards (bench, GC and
+  // kStats reporting: allocation rate, block reuse, and where the
+  // version memory sits — live, in its grace period, or free).
   VersionArena::Stats ArenaStats() const;
+
+  // Advances the reclamation epoch once the store's arenas have
+  // released kReleasesPerAdvance blocks since the last advance, so the
+  // blocks pruning frees leave their grace period at a pace set by this
+  // store's own release volume (not a process-wide count, which would
+  // couple unrelated stores and replays). Call with no chain or arena
+  // latch held: Advance issues a membarrier and runs EBR deleters.
+  void MaybeAdvanceEpoch();
 
   // Applies Prune(watermark) to every chain; returns versions discarded.
   size_t PruneAll(VersionNumber watermark);
@@ -135,8 +144,8 @@ class ObjectStore {
     std::atomic<size_t> num_keys{0};
     // Slab arena feeding this shard's chains (arrays and payloads).
     // Per-shard so allocation contends no wider than the shard's own
-    // writers do; closed (not deleted — EBR may still hold its slabs)
-    // after the chains release their storage in ~ObjectStore.
+    // writers do; closed after the chains release their storage in
+    // ~ObjectStore.
     VersionArena* arena = nullptr;
   };
 
@@ -157,6 +166,9 @@ class ObjectStore {
   void InsertLocked(Shard& shard, ObjectKey key, VersionChain* chain);
 
   static constexpr size_t kInitialTableCapacity = 16;
+  // A released block is reusable two advances after its release, so the
+  // grace backlog stays near 2-3x this many blocks per store.
+  static constexpr uint64_t kReleasesPerAdvance = 256;
 
   mutable std::vector<Shard> shards_;
   size_t shard_mask_;
@@ -164,6 +176,10 @@ class ObjectStore {
   // shard: with more threads than shards the per-shard cells themselves
   // ping-ponged between writers hammering the same hot shard).
   StripedCounter versions_;
+  // Blocks released by every shard arena, and the count at which
+  // MaybeAdvanceEpoch next advances.
+  std::atomic<uint64_t> releases_{0};
+  std::atomic<uint64_t> next_advance_at_{kReleasesPerAdvance};
   // Ordered index over the same keys, each leaf entry carrying the
   // key's chain, so a snapshot scan is index walk -> chain read with no
   // per-key hash re-probe. Keys are only ever added, so it needs no

@@ -12,99 +12,104 @@ namespace mvcc {
 
 // Slab arena backing the latch-free read path's version storage.
 //
-// PR 5 made snapshot reads latch-free by publishing immutable version
-// arrays behind atomic pointers — and promptly lost to the latched
+// The first latch-free read path published immutable version arrays
+// behind atomic pointers — and promptly lost to the latched
 // baseline on every mixed workload, because the WRITE side paid for the
 // read side: every republish was a heap allocation plus a per-array
 // EpochManager::Retire (a global mutex, and every 128th call a
 // process-wide membarrier storm), and every version payload was an
 // std::string heap round trip. This arena is the Larson-et-al.-shaped
 // fix: version arrays and version payloads are carved out of large
-// cache-line-aligned slabs with a bump pointer, and reclamation is
-// batched at SLAB granularity — one EBR retirement per exhausted slab
-// instead of one per replaced array, a ~10^3 reduction in retire/advance
-// traffic under sustained write load.
+// cache-line-aligned slabs with a bump pointer, and released blocks are
+// reused block by block, with no call into the epoch manager at all.
 //
-// Lifecycle of a slab:
-//   open      - the arena's current carve target. Holds a +1 "open"
-//               bias on its live count so it can never be reclaimed
-//               while allocations may still land in it.
-//   sealed    - a fresh slab replaced it (bump pointer exhausted, or
-//               the arena closed). The bias is dropped; live now counts
-//               exactly the unreleased blocks carved from it.
-//   dead      - live hit zero: every block was released. The slab is
-//               unlinked from the allocation path and handed to the
-//               epoch manager in ONE Retire call.
-//   recycled  - the grace period elapsed (no reader pinned at or before
-//               the retirement epoch can hold a pointer into the slab),
-//               and the slab returns to the arena's free list for reuse.
+// Lifecycle of a block:
+//   live     - handed out by Allocate(), carved from the open slab's
+//              bump pointer or popped off a free list.
+//   pending  - Release()d: already unlinked from every published
+//              structure, but an epoch-pinned reader may still be
+//              copying it. The block is stamped with the global epoch
+//              at release and queued, FIFO, outside the block itself —
+//              nothing is written into its bytes during this phase.
+//   free     - the global epoch reached stamp + 2 (the EBR grace rule),
+//              so no reader pinned at or before the stamp survives. The
+//              block moves onto its size class's intrusive free list
+//              (the link is written only now) and the next Allocate of
+//              that size hands it out again.
+// Slabs are only ever a carve source: they are never retired, and they
+// are returned to the heap when the arena closes.
 //
 // Why reuse is safe (the ABA case the tests pin): a reader holding a
-// pointer into slab memory — a version array mid-binary-search, a
-// payload mid-copy — is pinned in an epoch <= the slab's retirement
-// epoch. The epoch manager frees (here: recycles) a retirement only
-// after the global epoch has advanced twice past it, which requires
-// every such reader to have unpinned. A slab therefore never re-enters
-// the free list, and its bytes are never re-carved, while any thread
-// that could dereference its old contents is still running.
+// pointer into a block — a version array mid-binary-search, a payload
+// mid-copy — is pinned in an epoch <= the block's stamp (the release
+// path fences before loading the stamp, so the unlink is visible to
+// every reader that pins a later epoch). The global epoch advances twice
+// past the stamp only after every such reader has unpinned, so a block
+// never re-enters a free list while any thread that could dereference
+// its old contents is still running.
 //
-// Blocks are released, never freed: Release() only decrements the
-// owning slab's live count (lock-free; the slab is found by masking the
-// block address with the slab alignment). Block destructors never run —
-// everything carved from a slab must be trivially destructible, which
-// is why VersionChain stores POD slots and raw payload bytes rather
-// than std::string.
+// The arena never advances the epoch itself: Allocate and Release run
+// under chain latches, where Advance's membarrier must not run. The
+// owner drives the cadence — ObjectStore counts releases into
+// `release_count` and advances between commits (see
+// ObjectStore::MaybeAdvanceEpoch).
+//
+// Block destructors never run: everything carved from a slab must be
+// trivially destructible, which is why VersionChain stores POD slots
+// and raw payload bytes rather than std::string.
 //
 // Allocations larger than LargeThreshold() (oversized payloads, very
-// deep chains) bypass the slabs: they are heap-allocated and
-// individually EBR-retired on release, preserving the same reclamation
-// contract at the cost of the old per-object retire — acceptable
-// because they are rare by construction.
+// deep chains) bypass the slabs: they are heap-allocated, take the same
+// pending queue on release, and go back to the heap instead of a free
+// list once their grace period ends.
 //
-// Thread safety: Allocate() takes the arena's spin latch (arenas are
-// per-shard, so this contends about as much as the shard's chains do);
-// Release() is lock-free. The arena is destroyed via Close(), not
-// delete: dead slabs may still be parked in the epoch manager, each
-// holding a reference, and the arena frees itself only after the last
-// one comes home. Close() requires every block to have been released
-// (the object store deletes its chains first).
+// Thread safety: Allocate(), Release() and GetStats() take the arena's
+// spin latch (arenas are per-shard, so this contends about as much as
+// the shard's chains do). Close() requires every block to have been
+// released and no reader to be pinned on the arena's memory (the object
+// store deletes its chains, with no reader left, first).
 class VersionArena {
  public:
   static constexpr size_t kDefaultSlabBytes = 1 << 18;  // 256 KiB
 
   struct Stats {
-    uint64_t allocs = 0;          // blocks carved (slab or heap)
-    uint64_t bytes_carved = 0;    // bytes handed out (after rounding)
-    uint64_t slabs_allocated = 0; // fresh slabs from the heap
-    uint64_t slabs_recycled = 0;  // reuses off the free list
-    uint64_t slabs_retired = 0;   // dead slabs handed to the EBR
-    uint64_t slabs_freed = 0;     // retirements returned by the EBR
-    uint64_t large_allocs = 0;    // heap-path allocations
+    uint64_t allocs = 0;           // blocks handed out (slab or heap)
+    uint64_t bytes_carved = 0;     // bytes handed out (after rounding)
+    uint64_t blocks_reused = 0;    // allocations served by a free list
+    uint64_t slabs_allocated = 0;  // slabs taken from the heap
+    uint64_t large_allocs = 0;     // heap-path allocations
+    // Memory accounting of the slab path; live + pending + free never
+    // exceeds resident (the rest is slab tails not yet carved).
+    uint64_t resident_bytes = 0;  // slabs held, slabs_allocated * size
+    uint64_t live_bytes = 0;      // slab blocks handed out, unreleased
+    uint64_t pending_bytes = 0;   // released, grace period not over
+    uint64_t free_bytes = 0;      // on the free lists, ready for reuse
   };
 
-  // `slab_bytes` must be a power of two >= 4096 (Release relies on
-  // address masking to find a block's slab header).
-  static VersionArena* Create(size_t slab_bytes = kDefaultSlabBytes);
+  // `slab_bytes` must be >= 4096. `release_count`, when non-null, is
+  // credited with every Release(), in batches of kReleaseReportBatch
+  // (the owner's epoch-advance cadence).
+  static VersionArena* Create(size_t slab_bytes = kDefaultSlabBytes,
+                              std::atomic<uint64_t>* release_count = nullptr);
 
   // Process-wide arena for version chains constructed without an
   // owning store (tests, ad-hoc chains). Never closed.
   static VersionArena* Default();
 
-  // Drops the owner reference and seals the current slab. All blocks
-  // must already be released. The arena deletes itself once every slab
-  // parked in the epoch manager has been returned — possibly as late as
-  // the epoch manager's own destruction at process exit.
+  // Frees the arena and its slabs. All blocks must already be released
+  // and no reader may still hold one.
   void Close();
 
-  // Carves `bytes` (rounded up to 16-byte granularity) out of the
-  // current slab, or the heap if `bytes` exceeds LargeThreshold().
-  // Never returns nullptr for bytes > 0; Allocate(0) returns nullptr.
+  // Returns a block of `bytes` (rounded up to 16-byte granularity) from
+  // the size class's free list, else the open slab, or the heap if
+  // `bytes` exceeds LargeThreshold(). Never returns nullptr for
+  // bytes > 0; Allocate(0) returns nullptr.
   void* Allocate(size_t bytes);
 
-  // Releases a block previously carved with exactly `bytes`. The memory
-  // must already be unreachable from every published structure; it stays
-  // readable by epoch-pinned threads until the owning slab's (or, for
-  // large blocks, the block's own) grace period elapses.
+  // Releases a block previously allocated with exactly `bytes`. The
+  // memory must already be unreachable from every published structure;
+  // it stays intact for epoch-pinned readers until its grace period
+  // elapses, and only then is it reused (or, if large, freed).
   void Release(void* p, size_t bytes);
 
   // Allocations strictly larger than this take the heap path.
@@ -113,44 +118,50 @@ class VersionArena {
   Stats GetStats() const;
 
  private:
-  struct Slab;
+  struct PendingBlock {
+    void* ptr;
+    size_t bytes;    // rounded
+    uint64_t epoch;  // global epoch at release
+  };
+  struct FreeBlock {
+    FreeBlock* next;
+  };
 
-  explicit VersionArena(size_t slab_bytes);
+  VersionArena(size_t slab_bytes, std::atomic<uint64_t>* release_count);
   ~VersionArena();
 
-  // Installs a fresh (or recycled) open slab; caller holds latch_.
-  Slab* InstallSlabLocked();
-  // Drops the open bias of `slab`. Returns true if that made the slab
-  // dead — the caller must then RetireDeadSlab() it AFTER dropping
-  // latch_ (retirement can synchronously run deleters that re-enter
-  // the latch). Caller holds latch_.
-  bool SealLocked(Slab* slab);
-  // Hands a dead slab to the epoch manager (exactly once per death).
-  void RetireDeadSlab(Slab* slab);
-  // EBR deleter: the grace period elapsed; recycle into the free list.
-  static void ReturnFromEbr(void* p);
+  // Moves every pending block whose grace period has elapsed onto its
+  // free list (large blocks: back to the heap). Caller holds latch_.
+  void DrainLocked();
 
-  void Ref();
-  void Unref();
+  // Releases are credited to release_count_ in batches, so arenas that
+  // share one owner do not contend on its counter for every block.
+  static constexpr uint64_t kReleaseReportBatch = 16;
 
   const size_t slab_bytes_;
+  std::atomic<uint64_t>* const release_count_;
 
   mutable SpinLatch latch_;
-  Slab* open_ = nullptr;             // carve target; latch_ held
-  std::vector<Slab*> free_slabs_;    // recycled, ready for reuse
-  std::vector<Slab*> all_slabs_;     // every slab ever created (owned)
-  bool closed_ = false;
+  // Everything below is guarded by latch_.
+  char* bump_ = nullptr;   // next carve position in the open slab
+  char* limit_ = nullptr;  // end of the open slab
+  std::vector<void*> slabs_;
+  // Release-ordered FIFO, so stamps are non-decreasing from the front;
+  // entries before pending_head_ have been drained.
+  std::vector<PendingBlock> pending_;
+  size_t pending_head_ = 0;
+  // Intrusive free lists, one per 16-byte size class up to
+  // LargeThreshold().
+  std::vector<FreeBlock*> free_;
 
-  // 1 for the owner (dropped by Close) + 1 per slab parked in the EBR.
-  std::atomic<int64_t> refs_{1};
-
-  std::atomic<uint64_t> allocs_{0};
-  std::atomic<uint64_t> bytes_carved_{0};
-  std::atomic<uint64_t> slabs_allocated_{0};
-  std::atomic<uint64_t> slabs_recycled_{0};
-  std::atomic<uint64_t> slabs_retired_{0};
-  std::atomic<uint64_t> slabs_freed_{0};
-  std::atomic<uint64_t> large_allocs_{0};
+  uint64_t allocs_ = 0;
+  uint64_t bytes_carved_ = 0;
+  uint64_t blocks_reused_ = 0;
+  uint64_t large_allocs_ = 0;
+  uint64_t live_bytes_ = 0;
+  uint64_t pending_bytes_ = 0;
+  uint64_t free_bytes_ = 0;
+  uint64_t unreported_releases_ = 0;
 };
 
 }  // namespace mvcc

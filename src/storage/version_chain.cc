@@ -92,7 +92,7 @@ void VersionChain::Install(const Version& v) {
   slot.len = static_cast<uint32_t>(v.value.size());
   slot.reserved = 0;
   // Payload copy happens before taking the latch: the memcpy (and any
-  // slab turnover it triggers) must not extend the writer critical
+  // slab the arena opens for it) must not extend the writer critical
   // section other installers spin on.
   slot.data = CopyPayload(v.value);
   if (version_counter_ != nullptr) version_counter_->Add(1);
@@ -196,7 +196,8 @@ void VersionChain::Republish(VersionArray* old, size_t start, size_t count,
   // The release store publishes the fully-built array; readers that
   // acquire-load the pointer see every slot and the counters. The old
   // generation may still be held by pinned readers — releasing it only
-  // debits its slab, whose physical reuse waits out the grace period.
+  // queues its block in the arena, whose reuse waits out the grace
+  // period.
   array_.store(fresh, std::memory_order_release);
   StatsCells().republishes.Add(1);
   SimObserve(this, "chain.republish", new_count, 0);

@@ -18,7 +18,7 @@
 namespace mvcc {
 
 // Aggregate write-side counters for the arena-backed chains, reported
-// by bench_readpath: the whole point of the slab redesign is driving
+// by bench_readpath: the whole point of the arena redesign is driving
 // `republishes` (full-array copies) toward zero on in-order workloads
 // and making `pruned_in_place` (O(1) prefix drops) carry GC instead.
 struct ChainWriteStats {
@@ -47,9 +47,9 @@ ChainWriteStats GetChainWriteStats();
 //     arena-allocated payload bytes), so republishing an array is a
 //     memcpy, never a string copy, and reclaimed arrays need no
 //     destructor pass.
-//   - Arrays and payloads are carved from a VersionArena slab;
-//     reclamation is batched per slab through epoch-based reclamation
-//     instead of per array (see version_arena.h).
+//   - Arrays and payloads are carved from a VersionArena; a released
+//     block is reused by the arena itself once its epoch grace period
+//     ends, with no per-array EBR retirement (see version_arena.h).
 //   - In-order installs (commits arriving in tn order — the common
 //     case) append into reserve-ahead spare capacity and publish by
 //     bumping `count`; arrays are sized with headroom so a republish
@@ -177,10 +177,10 @@ class VersionChain {
 
  private:
   // One committed version as stored: trivially copyable and trivially
-  // destructible, so republishes are memcpys and slab reclamation never
+  // destructible, so republishes are memcpys and block reuse never
   // runs destructors. The payload bytes live in the arena (or, when
-  // oversized, on the individually-EBR-retired heap path) and are
-  // immutable for the life of the version.
+  // oversized, on its heap path) and are immutable for the life of the
+  // version.
   struct VersionSlot {
     VersionNumber number;
     const char* data;  // payload bytes; nullptr iff len == 0
@@ -198,8 +198,8 @@ class VersionChain {
   // synchronize on `count` (acquire) for in-place appends, on `start`
   // (acquire) for in-place prunes, and on the owning chain's array
   // pointer (acquire) for swaps; a swapped-out array is released to the
-  // arena, whose slab-batched reclamation frees it only after every
-  // reader that could hold it has unpinned.
+  // arena, which reuses it only after every reader that could hold it
+  // has unpinned.
   //
   // Header and slots live in ONE allocation (trailing array), so a read
   // is two dependent loads (chain -> array -> slot) instead of three —

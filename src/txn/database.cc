@@ -91,6 +91,12 @@ Database::Database(DatabaseOptions options,
     : options_(std::move(options)),
       store_(options_.store_shards),
       vc_(NumberingMode::kDense, options_.vc_shards) {
+  if (!ProtocolUsesCommitPipeline(options_.protocol)) {
+    // Baseline readers never enter the reader registry, so a watermark
+    // could prune a version an old-timestamp reader still needs.
+    options_.enable_gc = false;
+    options_.inline_gc = false;
+  }
   if (options_.preload_keys > 0) {
     store_.Preload(options_.preload_keys, options_.initial_value);
   }
@@ -395,6 +401,9 @@ Status Database::DoCommit(TxnState* state) {
         if (chain != nullptr) chain->Prune(watermark);
       }
     }
+    // Outside every chain latch: lets the blocks this and earlier
+    // commits released finish their grace period and be reused.
+    store_.MaybeAdvanceEpoch();
     // VC protocols already appended their commit batch inside Commit()
     // via the shared pipeline, before VCcomplete (write-ahead of
     // visibility; see CommitPipeline). The baselines have no VC

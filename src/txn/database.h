@@ -62,16 +62,19 @@ struct DatabaseOptions {
   // Record committed transactions for serializability checking.
   bool record_history = false;
 
-  // Track active read-only snapshots and enable garbage collection
-  // (VC protocols only).
-  bool enable_gc = false;
+  // Track active read-only snapshots and enable garbage collection.
+  // VC protocols only: the baselines do not register their readers with
+  // the collector, so a Database running one ignores both GC flags (its
+  // options() report them off) and keeps every version.
+  bool enable_gc = true;
 
   // With enable_gc: additionally prune each written key's chain inline
   // at commit (amortized collection, no reliance on the background
-  // thread's cadence). This is the "experimentation with garbage
-  // collection algorithms" Section 1 promises the modular split makes
-  // cheap: the policy change touches no protocol code.
-  bool inline_gc = false;
+  // thread's cadence). On by default, so a served database collects
+  // without anyone starting a GC thread. This is the "experimentation
+  // with garbage collection algorithms" Section 1 promises the modular
+  // split makes cheap: the policy change touches no protocol code.
+  bool inline_gc = true;
 
   // Log every committed read-write transaction to an in-memory
   // write-ahead log, enabling crash recovery via RecoverDatabase().

@@ -107,7 +107,9 @@ TEST(FaultPropertyTest, AggressiveGcNeverBreaksSerializability) {
     opts.protocol = kind;
     opts.preload_keys = 32;
     opts.record_history = true;
+    // The background collector is the one under test.
     opts.enable_gc = true;
+    opts.inline_gc = false;
     Database db(opts);
     db.StartGc(std::chrono::milliseconds(1));
 

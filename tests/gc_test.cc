@@ -15,7 +15,10 @@ DatabaseOptions GcOpts() {
   opts.protocol = ProtocolKind::kVc2pl;
   opts.preload_keys = 4;
   opts.initial_value = "init";
+  // These tests drive the collector by hand (RunOnce, the background
+  // thread), so inline pruning at commit is off unless a test says so.
   opts.enable_gc = true;
+  opts.inline_gc = false;
   return opts;
 }
 

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
 
 #include "txn/database.h"
@@ -41,6 +42,28 @@ TEST(MvtoTest, EveryTransactionDrawsUniqueTimestamp) {
   a->Abort();
   ro->Abort();
   b->Abort();
+}
+
+TEST(MvtoTest, OldTimestampReaderKeepsItsVersionUnderDefaultOptions) {
+  // GC is on by default, but only for the VC protocols: MVTO readers
+  // never enter the reader registry, so pruning by a watermark could
+  // drop the version an old-timestamp reader still needs. The baseline
+  // must keep its chains whole.
+  DatabaseOptions opts;
+  opts.protocol = ProtocolKind::kMvto;
+  opts.preload_keys = 16;
+  opts.initial_value = "init";
+  Database db(opts);
+  EXPECT_FALSE(db.options().enable_gc);
+  EXPECT_FALSE(db.options().inline_gc);
+  EXPECT_EQ(db.gc(), nullptr);
+  auto reader = db.Begin(TxnClass::kReadOnly);  // ts = 1
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_TRUE(db.Put(4, "new" + std::to_string(i)).ok());
+  }
+  EXPECT_EQ(*reader->Read(4), "init");
+  EXPECT_TRUE(reader->Commit().ok());
+  EXPECT_EQ(db.store().Find(4)->size(), 21u);
 }
 
 TEST(MvtoTest, ReadOnlyReadUpdatesMetadata) {

@@ -7,7 +7,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -323,20 +325,18 @@ TEST(ReadPathStressTest, StoreIndexFindVsGetOrCreateAndResize) {
 }
 
 // ---------------------------------------------------------------------
-// Slab-recycling stress: the ABA hazard specific to the arena design.
-// A version array (or payload) lives in a slab; when every block in the
-// slab is released the slab dies and, after the grace period, is handed
-// back whole and re-carved for NEW arrays and payloads. A reader that
-// loaded the old array pointer must never observe re-carved bytes — the
-// torn-read checks below are the detector, since a reused slab would
-// serve another version's payload (or slot metadata) at the same
-// address.
+// Block-reuse stress: the ABA hazard specific to the arena design. A
+// released version array (or payload) goes back on its size class's
+// free list once its grace period ends, and the next allocation of that
+// size re-carves it for a NEW array or payload. A reader that loaded the
+// old pointer must never observe re-carved bytes — the torn-read checks
+// below are the detector, since a reused block would serve another
+// version's payload (or slot metadata) at the same address.
 // ---------------------------------------------------------------------
 
-TEST(ReadPathStressTest, ChainReadersVsInstallersWhileSlabsRecycle) {
-  // Tiny slabs so a handful of installs+prunes turns a slab over; the
-  // test then runs the full reader/installer/pruner mix on top of
-  // constant slab death and reuse.
+TEST(ReadPathStressTest, ChainReadersVsInstallersWhileBlocksAreReused) {
+  // The full reader/installer/pruner mix on top of constant block
+  // release and reuse (a reclaimer thread keeps the epoch moving).
   VersionArena* arena = VersionArena::Create(/*slab_bytes=*/4096);
   {
     VersionChain chain(arena);
@@ -359,8 +359,8 @@ TEST(ReadPathStressTest, ChainReadersVsInstallersWhileSlabsRecycle) {
     };
 
     // Dense installer, aggressive pruner cadence: keeping the live
-    // window short is what kills slabs (a pruned payload is a released
-    // block; a republished array releases its predecessor).
+    // window short is what releases blocks (a pruned payload is a
+    // released block; a republished array releases its predecessor).
     std::thread dense([&] {
       const uint64_t kMaxEven = 2 + 2 * 2000 * kStressScale;
       for (uint64_t n = 4; n <= kMaxEven; n += 2) {
@@ -384,8 +384,8 @@ TEST(ReadPathStressTest, ChainReadersVsInstallersWhileSlabsRecycle) {
       }
     });
 
-    // Reclaimer: drives Advance so retired slabs actually come home and
-    // get re-carved DURING the run, not after it.
+    // Reclaimer: drives Advance so released blocks actually leave their
+    // grace period and get re-carved DURING the run, not after it.
     std::thread reclaimer([&] {
       while (!stop.load(std::memory_order_acquire)) {
         EpochManager::Global().Advance();
@@ -411,7 +411,7 @@ TEST(ReadPathStressTest, ChainReadersVsInstallersWhileSlabsRecycle) {
                    std::to_string(sn) + "]");
           } else if (read->value != ValueFor(read->version)) {
             report("torn read at version " + std::to_string(read->version) +
-                   " (slab reuse under a live reader)");
+                   " (block reuse under a live reader)");
           }
           active[t].store(kIdleSn, std::memory_order_seq_cst);
         }
@@ -424,16 +424,17 @@ TEST(ReadPathStressTest, ChainReadersVsInstallersWhileSlabsRecycle) {
     for (auto& r : readers) r.join();
 
     EXPECT_EQ(violations.load(), 0u) << first_violation;
-    // The hazard must actually have been exercised: slabs died during
-    // the concurrent phase.
-    EXPECT_GT(arena->GetStats().slabs_retired, 0u);
+    // The hazard must actually have been exercised: blocks were released
+    // during the concurrent phase.
+    const VersionArena::Stats during = arena->GetStats();
+    EXPECT_GT(during.pending_bytes + during.free_bytes + during.blocks_reused,
+              0u);
 
-    // Whether a slab also completed the full retire -> grace -> free ->
-    // re-carve cycle DURING the concurrent phase depends on scheduler
-    // timing (on a single core the installer can outrun the reclaimer).
-    // Force the cycle deterministically now: drain the grace backlog so
-    // the retired slabs come home, then keep installing — the new slab
-    // demand must be served from the free list, not the OS.
+    // Whether a block also completed the full release -> grace -> reuse
+    // cycle DURING the concurrent phase depends on scheduler timing (on
+    // a single core the installer can outrun the reclaimer). Force the
+    // cycle deterministically now: drain the grace backlog, then keep
+    // installing — allocations must be served from the free lists.
     for (int i = 0; i < 6; ++i) EpochManager::Global().Advance();
     const uint64_t base = floor.load(std::memory_order_acquire);
     for (uint64_t n = base + 2; n <= base + 1200; n += 2) {
@@ -443,42 +444,63 @@ TEST(ReadPathStressTest, ChainReadersVsInstallersWhileSlabsRecycle) {
         EpochManager::Global().Advance();
       }
     }
-    EXPECT_GT(arena->GetStats().slabs_recycled, 0u);
+    EXPECT_GT(arena->GetStats().blocks_reused, during.blocks_reused);
   }
   arena->Close();
-  for (int i = 0; i < 3; ++i) EpochManager::Global().Advance();
 }
 
-// Deterministic pin of the ABA window: a pinned reader holds the chain's
-// published array while churn retires its slab; physical reuse must wait
-// until that reader unpins, however hard reclamation is driven.
-TEST(ReadPathStressTest, PinnedReaderBlocksSlabReuse) {
+// Deterministic pin of the ABA window at block granularity: a pinned
+// reader holds a block while it is released and churn drives the epoch
+// as hard as it can. The block's bytes must stay intact, no block
+// released after the pin may be handed out again, and reuse must resume
+// once the reader unpins.
+TEST(ReadPathStressTest, PinnedReaderBlocksBlockReuse) {
+  // 96 bytes is a size class none of the chain's payloads (32 B) or
+  // arrays (272 B; larger ones take the heap path) share, so every
+  // allocation of it below is one of the test's own.
+  constexpr size_t kBlock = 96;
   VersionArena* arena = VersionArena::Create(/*slab_bytes=*/4096);
   {
     VersionChain chain(arena);
     for (uint64_t n = 1; n <= 8; ++n) chain.Install(Version{n, ValueFor(n), 1});
-    // Quiesce: everything retired before the pin is out of the picture.
-    for (int i = 0; i < 4; ++i) EpochManager::Global().Advance();
-    const uint64_t freed_before = arena->GetStats().slabs_freed;
+    char* held = static_cast<char*>(arena->Allocate(kBlock));
+    std::memset(held, 0x5a, kBlock);
+    std::set<void*> released_after_pin;
+    uint64_t explicit_released = 0;
 
     {
-      EpochGuard guard;  // the reader: holds whatever is published now
+      EpochGuard guard;  // the reader: it loaded `held` before the unlink
       const auto pinned_read = chain.Read(8);
       ASSERT_TRUE(pinned_read.ok());
+      arena->Release(held, kBlock);
+      released_after_pin.insert(held);
+      explicit_released += kBlock;
 
-      // Churn: installs + prunes republish the array repeatedly and
-      // release old payloads, killing the slabs the pinned generation
-      // lives in.
+      // Churn: installs + prunes release payloads and arrays; the test's
+      // own blocks of the reader's class are allocated and released in
+      // between, and the epoch is driven after every round.
       for (uint64_t n = 9; n <= 600; ++n) {
         chain.Install(Version{n, ValueFor(n), 1});
-        if (n % 8 == 0) chain.Prune(n - 4);
+        if (n % 8 == 0) {
+          chain.Prune(n - 4);
+          void* p = arena->Allocate(kBlock);
+          EXPECT_EQ(released_after_pin.count(p), 0u)
+              << "block released after the pin handed out again";
+          std::memset(p, 0xee, kBlock);
+          arena->Release(p, kBlock);
+          released_after_pin.insert(p);
+          explicit_released += kBlock;
+          EpochManager::Global().Advance();
+        }
       }
-      EXPECT_GT(arena->GetStats().slabs_retired, 0u);
 
-      // Reclamation can run at most one epoch past our pin: no slab
-      // retired after the pin may be freed or re-carved yet.
-      for (int i = 0; i < 8; ++i) EpochManager::Global().Advance();
-      EXPECT_EQ(arena->GetStats().slabs_freed, freed_before);
+      // The reader's bytes are intact, and everything released after the
+      // pin is still waiting out its grace period (only blocks released
+      // before the pin may have been reused).
+      for (size_t i = 0; i < kBlock; ++i) {
+        ASSERT_EQ(static_cast<unsigned char>(held[i]), 0x5a) << "byte " << i;
+      }
+      EXPECT_GE(arena->GetStats().pending_bytes, explicit_released);
 
       // Note what the pin does NOT promise: version 8 is logically
       // pruned by now, so a fresh Read(8) is correctly NotFound — EBR
@@ -491,18 +513,16 @@ TEST(ReadPathStressTest, PinnedReaderBlocksSlabReuse) {
       EXPECT_EQ(current->value, ValueFor(current->version));
     }
 
-    // Reader gone: the same drive frees the backlog and reuse resumes.
+    // Reader gone: the same drive ends the grace periods and reuse
+    // resumes, handing back the blocks released while it was pinned.
     for (int i = 0; i < 4; ++i) EpochManager::Global().Advance();
-    EXPECT_GT(arena->GetStats().slabs_freed, freed_before);
-    const uint64_t allocated = arena->GetStats().slabs_allocated;
-    for (uint64_t n = 601; n <= 700; ++n) {
-      chain.Install(Version{n, ValueFor(n), 1});
-    }
-    EXPECT_GT(arena->GetStats().slabs_recycled, 0u);
-    EXPECT_EQ(arena->GetStats().slabs_allocated, allocated);
+    const uint64_t reused_before = arena->GetStats().blocks_reused;
+    void* p = arena->Allocate(kBlock);
+    EXPECT_EQ(released_after_pin.count(p), 1u);
+    EXPECT_EQ(arena->GetStats().blocks_reused, reused_before + 1);
+    arena->Release(p, kBlock);
   }
   arena->Close();
-  for (int i = 0; i < 3; ++i) EpochManager::Global().Advance();
 }
 
 // After arbitrary concurrent churn the relaxed per-shard counters must

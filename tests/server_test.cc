@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -739,6 +740,51 @@ TEST(ServerHarnessTest, StatsOpExportsCounters) {
   }
   EXPECT_TRUE(saw_commits);
   EXPECT_TRUE(saw_lag);
+}
+
+TEST(ServerHarnessTest, StatsOpExportsVersionMemory) {
+  Database db(BaseOptions());
+  ServerHarness h(&db, nullptr, ServiceOptions());
+
+  // Overwrites release old versions (inline collection is on by
+  // default), so every byte class below has had traffic.
+  uint64_t id = 0;
+  for (int i = 0; i < 50; ++i) {
+    Request rw = MakeBatch(
+        TxnClass::kReadWrite,
+        {BatchOp{OpCode::kWrite, static_cast<ObjectKey>(i % 8),
+                 std::string(64, 'm')}});
+    rw.request_id = ++id;
+    // One pump per batch: batches in one burst on the same keys would
+    // conflict, and a burst's commits run at its end, after any stats.
+    h.SendRequest(rw);
+    ASSERT_TRUE(h.Pump());
+    for (const Response& resp : h.TakeResponses()) {
+      ASSERT_EQ(resp.status, WireStatus::kOk) << resp.message;
+    }
+  }
+  Request stats = MakeStats();
+  stats.request_id = ++id;
+  h.SendRequest(stats);
+  ASSERT_TRUE(h.Pump());
+  std::vector<Response> got = h.TakeResponses();
+  const Response* r = FindById(got, id);
+  ASSERT_NE(r, nullptr);
+  std::map<std::string, uint64_t> values;
+  for (const auto& [key, value] : r->stats) values[key] = value;
+  for (const char* key : {"arena_resident_bytes", "arena_live_bytes",
+                          "arena_pending_bytes", "arena_free_bytes"}) {
+    EXPECT_EQ(values.count(key), 1u) << key;
+  }
+  const uint64_t resident = values["arena_resident_bytes"];
+  EXPECT_GT(values["arena_live_bytes"], 0u);  // the preload, at least
+  EXPECT_LE(values["arena_live_bytes"], resident);
+  EXPECT_LE(values["arena_live_bytes"] + values["arena_pending_bytes"] +
+                values["arena_free_bytes"],
+            resident);
+  // 50 overwrites of 8 keys released at least 42 old 64-byte payloads.
+  EXPECT_GE(values["arena_pending_bytes"] + values["arena_free_bytes"],
+            42u * 64);
 }
 
 // ---------------------------------------------------------------------

@@ -1,9 +1,10 @@
 // VersionArena unit tests plus the arena-backed VersionChain
 // model-equivalence property test: across randomized install / read /
 // prune / remove sequences — including out-of-order installs, empty and
-// oversized payloads, and slab sizes small enough to force constant
-// slab turnover — a chain carving its storage from a slab arena must be
-// observationally identical to a heap-backed reference model. Seeds
+// oversized payloads, and epoch advances that keep released blocks
+// flowing back into reuse — a chain carving its storage from an arena
+// must be observationally identical to a heap-backed reference model.
+// Seeds
 // sweep wider in CI via MVCC_ARENA_SEEDS.
 
 #include <gtest/gtest.h>
@@ -32,7 +33,7 @@ uint64_t SweepSeeds(uint64_t default_count) {
   return n == 0 ? default_count : n;
 }
 
-// Drains grace periods so everything retired so far gets freed/recycled
+// Drains grace periods so everything released so far becomes reusable
 // (each Advance moves one epoch when no reader straddles the previous).
 void DrainEbr() {
   EpochManager::Global().Advance();
@@ -40,35 +41,76 @@ void DrainEbr() {
   EpochManager::Global().Advance();
 }
 
-TEST(VersionArenaTest, CarvesReleasesAndRecyclesSlabs) {
+TEST(VersionArenaTest, ReleasedBlocksAreReusedAfterTheGracePeriod) {
   VersionArena* arena = VersionArena::Create(/*slab_bytes=*/4096);
-  // Fill several slabs worth of blocks, then release them all: every
-  // non-open slab must die, get retired in ONE batch each, and return
-  // to the free list once the grace period elapses.
+  // Fill several slabs worth of blocks, then release them all: they
+  // wait out the grace period, then serve new allocations of the same
+  // size without the arena taking another slab.
   std::vector<void*> blocks;
   constexpr size_t kBlock = 256;
   for (int i = 0; i < 64; ++i) blocks.push_back(arena->Allocate(kBlock));
+  VersionArena::Stats s = arena->GetStats();
+  EXPECT_GE(s.slabs_allocated, 2u);  // 64 * 256B cannot fit one 4K slab
+  EXPECT_EQ(s.live_bytes, 64 * kBlock);
+  EXPECT_EQ(s.resident_bytes, s.slabs_allocated * 4096);
+  const std::set<void*> first(blocks.begin(), blocks.end());
+  EXPECT_EQ(first.size(), blocks.size());  // distinct blocks
   for (void* p : blocks) {
-    std::memset(p, 0xab, kBlock);  // blocks must be writable and distinct
+    std::memset(p, 0xab, kBlock);  // blocks must be writable
     arena->Release(p, kBlock);
   }
   blocks.clear();
-  DrainEbr();
-  VersionArena::Stats s = arena->GetStats();
-  EXPECT_GE(s.slabs_allocated, 2u);  // 64 * 256B cannot fit one 4K slab
-  EXPECT_GT(s.slabs_retired, 0u);
-  EXPECT_EQ(s.slabs_freed, s.slabs_retired);  // all grace periods elapsed
-  EXPECT_EQ(s.allocs, 64u);
+  s = arena->GetStats();
+  EXPECT_EQ(s.live_bytes, 0u);
+  EXPECT_EQ(s.pending_bytes + s.free_bytes, 64 * kBlock);
 
-  // New allocations must reuse the recycled slabs, not grow the arena.
-  const uint64_t allocated_before = s.slabs_allocated;
+  DrainEbr();
+  const uint64_t slabs_before = s.slabs_allocated;
   for (int i = 0; i < 64; ++i) blocks.push_back(arena->Allocate(kBlock));
   s = arena->GetStats();
-  EXPECT_GT(s.slabs_recycled, 0u);
-  EXPECT_EQ(s.slabs_allocated, allocated_before);
+  EXPECT_EQ(s.blocks_reused, 64u);
+  EXPECT_EQ(s.slabs_allocated, slabs_before);
+  EXPECT_EQ(s.free_bytes, 0u);
+  EXPECT_EQ(s.allocs, 128u);
+  for (void* p : blocks) EXPECT_EQ(first.count(p), 1u) << "not a reused block";
   for (void* p : blocks) arena->Release(p, kBlock);
   arena->Close();
-  DrainEbr();  // let the parked slabs come home so the arena frees itself
+}
+
+TEST(VersionArenaTest, SizeClassesReuseOnlyTheirOwnBlocks) {
+  VersionArena* arena = VersionArena::Create(/*slab_bytes=*/4096);
+  void* small = arena->Allocate(40);  // 48-byte class
+  void* large = arena->Allocate(200);  // 208-byte class
+  arena->Release(small, 40);
+  arena->Release(large, 200);
+  DrainEbr();
+  // A 208-byte request must not be served by the 48-byte block, and a
+  // same-class request of a different raw size reuses its class's block.
+  EXPECT_EQ(arena->Allocate(199), large);
+  EXPECT_EQ(arena->Allocate(33), small);
+  arena->Release(large, 199);
+  arena->Release(small, 33);
+  arena->Close();
+}
+
+TEST(VersionArenaTest, NoReuseBeforeTwoEpochAdvances) {
+  VersionArena* arena = VersionArena::Create(/*slab_bytes=*/4096);
+  void* p = arena->Allocate(64);
+  arena->Release(p, 64);
+  // One advance is half a grace period: the next allocation of the
+  // block's class must carve fresh memory.
+  EpochManager::Global().Advance();
+  void* q = arena->Allocate(64);
+  EXPECT_NE(q, p);
+  arena->Release(q, 64);
+  DrainEbr();
+  // Both grace periods are over now: both blocks come back.
+  void* a = arena->Allocate(64);
+  void* b = arena->Allocate(64);
+  EXPECT_EQ(std::set<void*>({a, b}), std::set<void*>({p, q}));
+  arena->Release(a, 64);
+  arena->Release(b, 64);
+  arena->Close();
 }
 
 TEST(VersionArenaTest, OversizedBlocksTakeTheHeapPath) {
@@ -80,8 +122,16 @@ TEST(VersionArenaTest, OversizedBlocksTakeTheHeapPath) {
   arena->Release(p, big);
   const VersionArena::Stats s = arena->GetStats();
   EXPECT_EQ(s.large_allocs, 1u);
-  arena->Close();
+  // Heap blocks never touch the slab accounting.
+  EXPECT_EQ(s.slabs_allocated, 0u);
+  EXPECT_EQ(s.live_bytes + s.pending_bytes + s.free_bytes, 0u);
+  // Past its grace period the next arena call hands the heap block back
+  // to the heap (ASan checks that free).
   DrainEbr();
+  void* small = arena->Allocate(1);
+  EXPECT_EQ(arena->GetStats().large_allocs, 1u);
+  arena->Release(small, 1);
+  arena->Close();
 }
 
 TEST(VersionArenaTest, ZeroByteAllocationIsNull) {
@@ -89,7 +139,6 @@ TEST(VersionArenaTest, ZeroByteAllocationIsNull) {
   EXPECT_EQ(arena->Allocate(0), nullptr);
   arena->Release(nullptr, 0);  // must be a no-op
   arena->Close();
-  DrainEbr();
 }
 
 // ---------------------------------------------------------------------
@@ -150,9 +199,10 @@ TEST(ArenaChainEquivalence, MatchesHeapModelAcrossSeeds) {
   for (uint64_t seed = 1; seed <= seeds; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Random rng(0x9e3779b9 * seed + 1);
-    // Tiny slabs: a few dozen installs turn a slab over, so the sweep
-    // constantly retires, recycles, and re-carves while the chain is
-    // live — the allocator-churn case the redesign must keep correct.
+    // Tiny slabs plus epoch advances on every step: released arrays
+    // and payloads come back out of their grace period and are re-carved
+    // constantly while the chain is live — the allocator-churn case the
+    // block reuse must keep correct.
     VersionArena* arena = VersionArena::Create(/*slab_bytes=*/4096);
     {
       VersionChain chain(arena);
@@ -160,6 +210,7 @@ TEST(ArenaChainEquivalence, MatchesHeapModelAcrossSeeds) {
       std::set<VersionNumber> used;
 
       for (int step = 0; step < 4000; ++step) {
+        if (step % 4 == 0) EpochManager::Global().Advance();
         const double roll = rng.NextDouble();
         if (roll < 0.40) {
           // Install. Half in ascending order (append fast path), half
@@ -216,7 +267,6 @@ TEST(ArenaChainEquivalence, MatchesHeapModelAcrossSeeds) {
       }
     }
     arena->Close();
-    DrainEbr();
   }
 }
 
